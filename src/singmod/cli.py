@@ -93,7 +93,7 @@ def cmd_kn(args) -> int:
         "alpha": _nstr(sm.alpha_numeric, prec),
         "ratio_residual": mp.nstr(sm.ratio_residual, 3),
         "k_product": str(sm.k_product) if sm.k_product is not None else None,
-        "exact": sm.k_product is not None,
+        "exact": sm.k_surd is not None,
     }
     if sm.witness is not None:
         payload["witness"] = {

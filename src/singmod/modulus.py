@@ -122,17 +122,25 @@ class DescentWitness:
     d: SurdElement
 
     def verify(self) -> bool:
+        """Check the defining identities exactly, squaring instead of taking roots.
+
+        sqrt(alpha) = sqrt(P) + sqrt(Q) with P = ab, Q = (a+1)(b-1) holds iff
+        t = alpha - P - Q satisfies t >= 0 and t^2 = 4PQ; likewise for beta
+        with P = cd, Q = (c-1)(d-1).
+        """
         if self.alpha * self.beta != self.s1 * self.s1:
             return False
         if (self.alpha + 1) * (self.beta - 1) != self.s2 * self.s2:
             return False
-        ab = self.a * self.b
-        ab1 = (self.a + 1) * (self.b - 1)
-        if ab + ab1 + 2 * exact_sqrt(ab * ab1) != self.alpha:
-            return False
-        cd = self.c * self.d
-        cd1 = (self.c - 1) * (self.d - 1)
-        return cd + cd1 + 2 * exact_sqrt(cd * cd1) == self.beta
+        pairs = (
+            (self.alpha, self.a * self.b, (self.a + 1) * (self.b - 1)),
+            (self.beta, self.c * self.d, (self.c - 1) * (self.d - 1)),
+        )
+        for total, p, q in pairs:
+            t = total - p - q
+            if t.sign() < 0 or t * t != 4 * p * q:
+                return False
+        return True
 
 
 def _term_bipartitions(x: SurdElement):

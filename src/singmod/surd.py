@@ -3,16 +3,16 @@
 Elements are finite sums  sum_d c_d * sqrt(d)  with squarefree radicands d >= 1
 and rational coefficients c_d (d = 1 is the rational part).  The representation
 is canonical -- radicands reduced to their squarefree kernel, zero coefficients
-dropped -- so equality is structural.  Square roots of totally positive
-elements are reconstructed exactly from numerical conjugate data and verified
-by exact multiplication.
+dropped -- so equality is structural.  Square roots are exact: the classical
+denesting sqrt(a + b sqrt(p)) = y + b sqrt(p)/(2y), y^2 = (a +- sqrt(a^2 - p b^2))/2,
+recurses down the tower of quadratic extensions to integer square roots, with
+no numeric search.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iter_product
 
 import mpmath as mp
 
@@ -20,7 +20,7 @@ from . import arith
 
 
 class NotASquareError(ArithmeticError):
-    """Raised when no exact square root exists in the searched field."""
+    """Raised when no exact square root exists in the field considered."""
 
 
 def _red_mul(u: int, v: int) -> tuple[int, int]:
@@ -58,6 +58,14 @@ class SurdElement:
             clean[d] = clean.get(d, Fraction(0)) + coef * s
         self._terms = {d: c for d, c in sorted(clean.items()) if c != 0}
         self._hash = None
+
+    @classmethod
+    def _reduced(cls, terms: dict[int, Fraction]) -> "SurdElement":
+        """Build from squarefree radicands and Fraction coefficients, unchecked."""
+        self = cls.__new__(cls)
+        self._terms = {d: c for d, c in sorted(terms.items()) if c != 0}
+        self._hash = None
+        return self
 
     # -- basic structure -------------------------------------------------
 
@@ -110,12 +118,12 @@ class SurdElement:
         out = dict(self._terms)
         for d, c in other._terms.items():
             out[d] = out.get(d, Fraction(0)) + c
-        return SurdElement(out)
+        return SurdElement._reduced(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdElement":
-        return SurdElement({d: -c for d, c in self._terms.items()})
+        return SurdElement._reduced({d: -c for d, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SurdElement) else -SurdElement(other))
@@ -125,7 +133,7 @@ class SurdElement:
 
     def __mul__(self, other) -> "SurdElement":
         if isinstance(other, (int, Fraction)):
-            return SurdElement({d: c * other for d, c in self._terms.items()})
+            return SurdElement._reduced({d: c * other for d, c in self._terms.items()})
         if not isinstance(other, SurdElement):
             return NotImplemented
         out: dict[int, Fraction] = {}
@@ -133,13 +141,13 @@ class SurdElement:
             for d2, c2 in other._terms.items():
                 g, w = _red_mul(d1, d2)
                 out[w] = out.get(w, Fraction(0)) + c1 * c2 * g
-        return SurdElement(out)
+        return SurdElement._reduced(out)
 
     __rmul__ = __mul__
 
     def conjugate(self, prime: int) -> "SurdElement":
         """Flip the sign of sqrt(prime) in every radicand containing it."""
-        return SurdElement(
+        return SurdElement._reduced(
             {d: (-c if d % prime == 0 else c) for d, c in self._terms.items()}
         )
 
@@ -328,121 +336,53 @@ def as_unit_factor(x: SurdElement):
 # -- exact square roots -----------------------------------------------------
 
 
-def _group_span(radicands, primes):
-    """GF(2) span of the radicands' prime-support vectors.
+def _rational_sqrt(q: Fraction) -> SurdElement | None:
+    """Rational square root of q by integer square roots, or None."""
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return SurdElement._reduced({1: Fraction(num, den)})
 
-    Returns (basis_rads, group) where basis_rads generate the radicand group
-    and group maps every squarefree product of basis elements (2^rank of them)
-    to its bitmask over the basis.
+
+def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | None:
+    """Some w in Q(sqrt(p) : p in primes) with w*w == x, or None.
+
+    With p the largest prime write x = a + b*sqrt(p), a and b in the field of
+    the remaining primes.  If b != 0, any root is y + b*sqrt(p)/(2y) where
+    N = sqrt(a^2 - p b^2) and y^2 = (a + N)/2 or (a - N)/2; both are solved
+    in the smaller field, and when y exists the candidate squares to x
+    identically.  If b == 0, a root is either sqrt(a) or sqrt(a/p)*sqrt(p).
     """
-    prime_index = {p: i for i, p in enumerate(primes)}
-
-    def mask(d: int) -> int:
-        m = 0
-        for p in arith.factorize(d):
-            m |= 1 << prime_index[p]
-        return m
-
-    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (mask, radicand)
-    for d in sorted(set(radicands)):
-        v, r = mask(d), d
-        while v:
-            pb = v.bit_length() - 1
-            if pb in pivots:
-                pm, pr = pivots[pb]
-                v ^= pm
-                r = _red_mul(r, pr)[1]
-            else:
-                pivots[pb] = (v, r)
-                break
-    basis_rads = [rad for _, (_, rad) in sorted(pivots.items())]
-    group = {1: 0}
-    for i, b in enumerate(basis_rads):
-        for g, m in list(group.items()):
-            group[_red_mul(g, b)[1]] = m | (1 << i)
-    return basis_rads, group
-
-
-def _rationalize(value, max_den: int = 2**64):
-    """Continued-fraction rounding of an mpf to a bounded-denominator Fraction."""
-    tol = mp.mpf(2) ** (-mp.mp.prec // 2)
-    p_prev, q_prev, p, q = 1, 0, int(mp.floor(value)), 1
-    frac = value - mp.floor(value)
-    while abs(value - mp.mpf(p) / q) > tol * max(1, abs(value)):
-        if frac == 0 or q > max_den:
-            return None
-        rec = 1 / frac
-        a = int(mp.floor(rec))
-        frac = rec - a
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        if q > max_den:
-            return None
-    return Fraction(p, q)
-
-
-def _sqrt_in_group(z: SurdElement, decomp: dict[int, int], rank: int, dps: int):
-    """Find w supported on the radicand group with w*w == z, or None.
-
-    decomp maps each group radicand to its basis bitmask; the sign of radicand
-    u under embedding e is the parity of bits(decomp[u] & e).  Conjugate values
-    of z are computed for every sign assignment on the basis; candidate square
-    roots are assembled for each consistent choice of signs of sqrt(z)'s
-    conjugates, rationalized, and verified exactly.
-    """
-    n_emb = 1 << rank
-    with mp.workdps(dps):
-        conj_vals = []
-        for e in range(n_emb):
-            total = mp.mpf(0)
-            for d, c in z.terms.items():
-                s = -1 if bin(decomp[d] & e).count("1") % 2 else 1
-                total += s * mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
-            conj_vals.append(total)
-        tol = mp.mpf(2) ** (-mp.mp.prec // 2)
-        if any(v < -tol for v in conj_vals):
-            raise NotASquareError(f"{z} is not totally positive")
-        roots = [mp.sqrt(abs(v)) for v in conj_vals]
-        sqrt_rad = {u: mp.sqrt(u) for u in decomp}
-        for pattern in iter_product((1, -1), repeat=n_emb - 1):
-            signs = (1,) + pattern
-            coeffs = {}
-            ok = True
-            for u, um in decomp.items():
-                acc = mp.mpf(0)
-                for e in range(n_emb):
-                    s = -1 if bin(um & e).count("1") % 2 else 1
-                    acc += s * signs[e] * roots[e]
-                val = acc / (n_emb * sqrt_rad[u])
-                fr = _rationalize(val)
-                if fr is None:
-                    ok = False
-                    break
-                if fr != 0:
-                    coeffs[u] = fr
-            if not ok:
-                continue
-            w = SurdElement(coeffs)
-            if w * w == z:
-                return w
+    if not primes:
+        return _rational_sqrt(x.rational_part)
+    p, rest = primes[-1], primes[:-1]
+    a = SurdElement._reduced({d: c for d, c in x._terms.items() if d % p})
+    b = SurdElement._reduced({d // p: c for d, c in x._terms.items() if d % p == 0})
+    if b.is_zero():
+        y = _sqrt_in_tower(a, rest)
+        if y is not None:
+            return y
+        y = _sqrt_in_tower(a * Fraction(1, p), rest)
+        return None if y is None else y * SurdElement._reduced({p: Fraction(1)})
+    norm_root = _sqrt_in_tower(a * a - b * b * p, rest)
+    if norm_root is None:
+        return None
+    for half in ((a + norm_root) * Fraction(1, 2), (a - norm_root) * Fraction(1, 2)):
+        y = _sqrt_in_tower(half, rest)
+        if y is not None:
+            return y + b * SurdElement._reduced({p: Fraction(1, 2)}) * y.inverse()
     return None
 
 
-def exact_sqrt(
-    x: SurdElement,
-    target_radicands=None,
-    ambient_primes=None,
-    dps: int = 80,
-    retries: int = 4,
-) -> SurdElement:
-    """Exact square root of a totally positive surd, or NotASquareError.
+def exact_sqrt(x: SurdElement, target_radicands=None, ambient_primes=None) -> SurdElement:
+    """The positive square root of x in Q(sqrt(p) : p in P), or NotASquareError.
 
-    The root, if it exists inside the ambient multiquadratic field, has its
-    radicands in a single coset t*G of the group G generated by x's radicands;
-    for each candidate coset the equation (w*sqrt(t))^2 = x is solved for w
-    supported on G by numeric reconstruction plus exact verification.
-    `target_radicands` restricts the search to the cosets meeting the targets;
-    `ambient_primes` widens the pool of cosets searched.
+    P is the prime support of x, widened by `ambient_primes` and by the primes
+    of `target_radicands`.  A rational x gets its root sqrt(s^2 d) = s sqrt(d)
+    whatever P is.  Otherwise the root is found by denesting down the tower of
+    quadratic extensions (`_sqrt_in_tower`) and verified by squaring.
     """
     if x.is_zero():
         return SurdElement()
@@ -456,40 +396,16 @@ def exact_sqrt(
     primes = set(x.prime_support())
     if ambient_primes:
         primes.update(ambient_primes)
-    if target_radicands:
-        for t in target_radicands:
-            primes.update(arith.factorize(t))
-    primes = tuple(sorted(primes))
-    basis, group = _group_span(x.radicands, primes)
-    if len(basis) > 3:
-        raise NotASquareError(f"radicand group of rank {len(basis)} too large to search")
-
-    def coset_rep(t: int) -> int:
-        return min(_red_mul(t, g)[1] for g in group)
-
-    if target_radicands:
-        cosets = sorted({coset_rep(t) for t in target_radicands})
-    else:
-        reps = set()
-        for bits in iter_product((0, 1), repeat=len(primes)):
-            t = 1
-            for p, b in zip(primes, bits):
-                if b:
-                    t *= p
-            reps.add(coset_rep(t))
-        cosets = sorted(reps)
-
-    work = dps
-    for _ in range(retries):
-        for t in cosets:
-            z = x / t
-            w = _sqrt_in_group(z, group, len(basis), work)
-            if w is not None:
-                root = w * SurdElement({t: 1})
-                if (root * root) == x:
-                    return root
-        work *= 2
-    raise NotASquareError(f"no exact square root of {x} found (targets {target_radicands})")
+    for t in target_radicands or ():
+        primes.update(arith.factorize(t))
+    root = _sqrt_in_tower(x, tuple(sorted(primes)))
+    if root is None:
+        raise NotASquareError(f"{x} has no square root over the primes {sorted(primes)}")
+    if root.sign() < 0:
+        root = -root
+    if root * root != x:
+        raise ArithmeticError(f"denested root {root} does not square to {x}")
+    return root
 
 
 # -- formal products of units ----------------------------------------------

@@ -75,6 +75,13 @@ def test_kn_2_and_30(capsys):
     assert "(5 - 2*sqrt(6)) * (sqrt(6) - sqrt(5)) * (4 - sqrt(15)) * (2 - sqrt(3))" in out
 
 
+def test_kn_exact_flag(capsys):
+    code, out, _ = run(capsys, ["kn", "--n", "3", "--format", "json"])
+    assert code == 0 and json.loads(out)["exact"] is True
+    code, out, _ = run(capsys, ["kn", "--n", "5", "--format", "json"])
+    assert code == 0 and json.loads(out)["exact"] is False
+
+
 def test_tables_cells(capsys):
     code, out, _ = run(capsys, ["tables", "--m", "210"])
     assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -102,6 +103,17 @@ def test_quartet_roots_known_split():
     assert x1 * x2 == SurdElement(-1)
     assert x1.inverse() - x1 == 2 * (s1 + s2)
     assert product_signature(factors) == K30_FACTORS
+
+
+CONVENIENT = (2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462)
+
+
+def test_witness_verifies_for_every_convenient_n():
+    for n in CONVENIENT:
+        w = modulus.singular_modulus(n, 50).witness
+        assert w.verify(), n
+        assert not dataclasses.replace(w, a=w.a + 1).verify(), n
+        assert not dataclasses.replace(w, d=w.d + 1).verify(), n
 
 
 def test_quartet_210_parity_split(k210):

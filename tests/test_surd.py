@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from singmod import highprec
 from singmod.surd import (
@@ -198,6 +202,41 @@ def test_exact_sqrt_of_random_squares():
         got = exact_sqrt(y * y, ambient_primes=(2, 3))
         assert got == y or got == -y
         done += 1
+
+
+FIELD_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def field_elements(draw):
+    """(y, P): P a set of 1-5 primes from FIELD_PRIMES, y a nonzero element of Q(sqrt(P))."""
+    primes = tuple(sorted(draw(st.sets(st.sampled_from(FIELD_PRIMES), min_size=1, max_size=5))))
+    rads = [math.prod(c) for r in range(len(primes) + 1) for c in combinations(primes, r)]
+    chosen = draw(st.lists(st.sampled_from(rads), min_size=1, max_size=6, unique=True))
+    coef = st.fractions(min_value=-50, max_value=50, max_denominator=6).filter(lambda f: f != 0)
+    y = SurdElement({d: draw(coef) for d in chosen})
+    return y, primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements())
+def test_exact_sqrt_of_squares_over_fields_of_rank_1_to_5(case):
+    y, primes = case
+    got = exact_sqrt(y * y, ambient_primes=primes)
+    assert got in (y, -y)
+    assert got.sign() > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements(), st.sampled_from((13, 17, 19, 23)))
+def test_exact_sqrt_rejects_a_prime_outside_the_field(case, q):
+    y, primes = case
+    x = y * y * q
+    # a rational x takes the top-level rational branch, which returns
+    # sqrt(q * y^2) whatever the ambient primes are
+    assume(not x.is_rational())
+    with pytest.raises(NotASquareError):
+        exact_sqrt(x, ambient_primes=primes)
 
 
 def test_parse_print_round_trip():
