@@ -13,8 +13,11 @@ and assembling the root in (0, 1) as
     k = (sqrt(a+1) - sqrt(a))(sqrt(b) - sqrt(b-1))(sqrt(c) - sqrt(c-1))(sqrt(d) - sqrt(d-1)).
 
 Every intermediate square root is an exact surd, so the defining equation is
-verified by exact arithmetic; each difference factor is then rewritten as a
-product of fundamental quadratic units.
+verified by exact arithmetic.  Each difference factor is then rewritten as a
+product of fundamental quadratic units: its log embedding, Walsh-Hadamard
+transformed over the quadratic subfields of its field and divided by the log
+of each subfield's Pell unit, gives the exponents, and the product is rebuilt
+exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import combinations
 
 import mpmath as mp
 
-from . import arith, highprec, weber
+from . import arith, highprec, pell, weber
 from .surd import (
     NotASquareError,
     SurdElement,
@@ -251,51 +254,6 @@ def alpha_from_unit_pair(u: SurdElement, v: SurdElement, ambient_primes=None) ->
 # -- reduction of difference factors to fundamental units -------------------
 
 
-def _two_term_units(limit: int, radicands) -> list[SurdElement]:
-    """Units p sqrt(r1) - q sqrt(r2), value in (0, 1), with |p^2 r1 - q^2 r2| = 1."""
-    out = {}
-    for r1, r2 in combinations(sorted(set(radicands)), 2):
-        q = 1
-        while q * q * r2 <= limit:
-            for target in (q * q * r2 + 1, q * q * r2 - 1):
-                if target <= 0 or target % r1:
-                    continue
-                p = math.isqrt(target // r1)
-                if p == 0 or p * p * r1 != target:
-                    continue
-                lhs, rhs = SurdElement({r1: p}), SurdElement({r2: q})
-                u = lhs - rhs if p * p * r1 > q * q * r2 else rhs - lhs
-                if u != SurdElement(1) and not u.is_zero():
-                    out[tuple(u.terms.items())] = u
-            q += 1
-    return list(out.values())
-
-
-def _unit_dfs(remainder: SurdElement, candidates, depth: int, memo: set):
-    """Peel candidate units off `remainder` by exact division, largest first."""
-    if remainder == SurdElement(1):
-        return []
-    if depth == 0:
-        return None
-    key = tuple(sorted(remainder.terms.items()))
-    if key in memo:
-        return None
-    r_val = remainder.evalf(40)
-    for u, u_val in candidates:
-        if u_val < r_val * (1 - mp.mpf("1e-25")):
-            continue
-        quotient = remainder / u
-        if quotient == SurdElement(1):
-            return [u]
-        if not 0 < quotient.evalf(40) < 1:
-            continue
-        rest = _unit_dfs(quotient, candidates, depth - 1, memo)
-        if rest is not None:
-            return [u] + rest
-    memo.add(key)
-    return None
-
-
 def _integer_square_root_unit(u: SurdElement):
     """w = p sqrt(r1) - q sqrt(r2) with integer p, q and w^2 = u, or None."""
     terms = u.terms
@@ -325,57 +283,66 @@ def _integer_square_root_unit(u: SurdElement):
     return None
 
 
-def _radicand_group(rads) -> set[int]:
-    group = {1}
-    for d in rads:
-        group.update({(g // math.gcd(g, d)) * (d // math.gcd(g, d)) for g in group})
-    return group
+def _subfield_units(x: SurdElement) -> UnitProduct:
+    """x as a product of quadratic units of its own field, rebuilt exactly.
+
+    The 2^r embeddings of K = Q(sqrt(p) : p | x) flip the signs of the primes
+    picked by the bits of s.  Half the Walsh-Hadamard transform W_d of the
+    values log|sigma_s(x)| is log|N_{K/Q(sqrt d)}(x)|, and for a unit
+    x^(2^(r-1)) = +-prod_d N_{K/Q(sqrt d)}(x), so x has the exponent
+    -W_d / (2^r log eps_d) on eps_d^-1, eps_d the even-Pell unit of Q(sqrt d).
+    """
+    primes = x.prime_support()
+    r = len(primes)
+    height = max(abs(c) * d for d, c in x.terms.items())
+    # Every conjugate is below B <= 2^r * height and their product is +-1, so
+    # the smallest can be B^-(2^r - 1): embed then cancels this many digits.
+    dps = (1 << r) * (len(str(math.ceil(height))) + r) + 20
+    units = []
+    with mp.workdps(dps):
+        logs = [
+            mp.log(abs(x.embed({p: -1 if s >> i & 1 else 1 for i, p in enumerate(primes)})))
+            for s in range(1 << r)
+        ]
+        for mask in range(1, 1 << r):
+            d = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+            eps = pell.unit_value(pell.solve_even_pell(d if d % 4 == 1 else 4 * d))
+            walsh = mp.fsum(-v if bin(s & mask).count("1") % 2 else v for s, v in enumerate(logs))
+            e = Fraction(int(mp.nint(-2 * walsh / ((1 << r) * mp.log(eps.evalf())))), 2)
+            if e == 0:
+                continue
+            inv = eps.conjugate(d)
+            w = _integer_square_root_unit(inv)
+            if w is None:
+                units.append((eps, (inv, e)))
+            else:
+                units.append((w.inverse() if w.rational_part else eps, (w, 2 * e)))
+    # Smallest fundamental unit of Q(sqrt d) first (1/w if w has a rational part,
+    # else eps_d), compared exactly.
+    units.sort(key=lambda t: t[0])
+    rebuilt = UnitProduct(unit for _, unit in units)
+    if any(e.denominator != 1 for _, e in rebuilt.factors) or rebuilt.expand_exact() != x:
+        raise ArithmeticError(f"{x} is not a product of quadratic units of its field")
+    return rebuilt
 
 
-def factor_into_units(product: UnitProduct, two_n: int) -> tuple[UnitProduct, bool]:
+def factor_into_units(product: UnitProduct) -> UnitProduct:
     """Rewrite each multi-term factor as a product of fundamental quadratic units.
 
     Two-term unit factors (the sqrt(X) - sqrt(X-1) shapes that are already
-    simple) pass through untouched.  Larger factors are peeled by exact
-    division with candidate units p sqrt(r1) - q sqrt(r2), |p^2 r1 - q^2 r2|
-    = 1, drawn from the factor's own radicand group inside the divisors of 2n
-    (largest value first, depth-limited backtracking); squares of
-    integer-coefficient units in the result are recognized afterwards.
-    Factors that resist recognition are kept unchanged and flagged by a False
-    second slot.
+    simple) pass through untouched.  Every other factor x is read off its log
+    embedding (`_subfield_units`): each exponent of eps_d^-1 is rounded to the
+    nearest half-integer, eps_d^-1 is replaced by its square root where that
+    has integer coefficients, and the product must rebuild x exactly.
+    ArithmeticError is raised when it does not, e.g. when x is not a unit.
     """
     out = UnitProduct()
-    complete = True
     for base, exp in product.factors:
-        if base.is_rational():
-            if base != SurdElement(1):
-                out = out * UnitProduct([(base, exp)])
-            continue
         if len(base.terms) <= 2 and abs(field_norm(base)) == 1:
             out = out * UnitProduct([(base, exp)])
-            continue
-        group = _radicand_group(base.radicands)
-        rads = sorted(group & {d for d in arith.divisors(two_n) if arith.is_squarefree(d)})
-        height = max(float(abs(c)) * math.sqrt(d) for d, c in base.terms.items())
-        limit = int(64 * height * height) + 64
-        cands = []
-        for u in _two_term_units(limit, rads):
-            val = u.evalf(40)
-            if 0 < val < 1:
-                cands.append((u, val))
-        cands.sort(key=lambda t: -t[1])
-        found = _unit_dfs(base, cands, 8, set())
-        if found is None:
-            out = out * UnitProduct([(base, exp)])
-            complete = False
-            continue
-        for u in found:
-            w = _integer_square_root_unit(u)
-            if w is not None:
-                out = out * UnitProduct([(w, 2 * exp)])
-            else:
-                out = out * UnitProduct([(u, exp)])
-    return out, complete
+        else:
+            out = out * _subfield_units(base) ** exp
+    return out
 
 
 # -- closed forms for n = 2, 3, 7 and the full pipeline ----------------------
@@ -383,7 +350,7 @@ def factor_into_units(product: UnitProduct, two_n: int) -> tuple[UnitProduct, bo
 
 @dataclass
 class SingularModulus:
-    """The modulus k_n with its exact forms when the descent succeeds."""
+    """The modulus k_n with its exact forms; `simplified` marks a result of the exact descent."""
 
     n: int
     k_numeric: mp.mpf
@@ -442,8 +409,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
         return _numeric_modulus(n, prec)
     g_product, _ = weber.g2n(n // 2, max(prec, 60))
     g12 = (g_product**12).expand_exact()
-    two_n = 2 * n
-    ambient = tuple(arith.factorize(two_n))
+    ambient = tuple(arith.factorize(2 * n))
     last_err: Exception | None = None
     for s1, s2 in subgroup_splits(g12):
         try:
@@ -451,7 +417,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
         except NotASquareError as err:
             last_err = err
             continue
-        simplified, complete = factor_into_units(factors, two_n)
+        k_product = factor_into_units(factors)
         with mp.workdps(prec + _GUARD):
             kv = x1.evalf()
             av = kv * kv
@@ -462,10 +428,10 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
             av,
             res,
             k_surd=x1,
-            k_product=simplified if complete else factors,
+            k_product=k_product,
             g_product=g_product,
             witness=witness,
-            simplified=complete,
+            simplified=True,
         )
     raise last_err or NotASquareError(f"no split of g^12 worked for n = {n}")
 

@@ -43,12 +43,12 @@ class SurdElement:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
-        if terms is None:
-            terms = {}
+        self._hash = None
         if isinstance(terms, (int, Fraction)):
-            terms = {1: terms}
-        for rad, coef in terms.items():
+            self._terms = {1: Fraction(terms)} if terms else {}
+            return
+        clean: dict[int, Fraction] = {}
+        for rad, coef in (terms or {}).items():
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
@@ -57,7 +57,6 @@ class SurdElement:
             s, d = arith.squarefree_decompose(rad)
             clean[d] = clean.get(d, Fraction(0)) + coef * s
         self._terms = {d: c for d, c in sorted(clean.items()) if c != 0}
-        self._hash = None
 
     @classmethod
     def _reduced(cls, terms: dict[int, Fraction]) -> "SurdElement":

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from singmod import highprec, modulus
-from singmod.surd import NotASquareError, SurdElement, exact_sqrt, field_norm, parse_surd
+from singmod import arith, highprec, modulus, pell
+from singmod.surd import NotASquareError, SurdElement, UnitProduct, exact_sqrt, field_norm, parse_surd
 
 K210_FACTORS = {
     "4 - sqrt(15)": 2,
@@ -106,11 +108,16 @@ def test_quartet_roots_known_split():
 
 
 CONVENIENT = (2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462)
+SUBFIELDS_210 = tuple(d for d in arith.divisors(210) if d > 1)
 
 
 def test_witness_verifies_for_every_convenient_n():
     for n in CONVENIENT:
-        w = modulus.singular_modulus(n, 50).witness
+        sm = modulus.singular_modulus(n, 50)
+        assert sm.simplified, n
+        assert sm.k_product.expand_exact() == sm.k_surd, n
+        assert sm.k_product.all_unit_norms(), n
+        w = sm.witness
         assert w.verify(), n
         assert not dataclasses.replace(w, a=w.a + 1).verify(), n
         assert not dataclasses.replace(w, d=w.d + 1).verify(), n
@@ -177,12 +184,9 @@ def test_alpha_from_unit_pair_210_cross_method(k210):
 
 
 def test_factor_into_units_golden():
-    from singmod.surd import UnitProduct
-
     d2 = parse_surd("12 + sqrt(105)") - parse_surd("6*sqrt(3) + 2*sqrt(35)")
     d4 = parse_surd("4*sqrt(7) + 3*sqrt(15)") - parse_surd("3*sqrt(14) + 2*sqrt(30)")
-    out, complete = modulus.factor_into_units(UnitProduct([(d2, 1), (d4, 1)]), 420)
-    assert complete
+    out = modulus.factor_into_units(UnitProduct([(d2, 1), (d4, 1)]))
     assert product_signature(out) == {
         "2 - sqrt(3)": 1,
         "6 - sqrt(35)": 1,
@@ -191,13 +195,25 @@ def test_factor_into_units_golden():
     }
 
 
-def test_factor_into_units_keeps_unrecognized():
-    from singmod.surd import UnitProduct
+def test_factor_into_units_rejects_a_non_unit():
+    with pytest.raises(ArithmeticError):
+        modulus.factor_into_units(UnitProduct([(parse_surd("2 + sqrt(2)"), 1)]))
 
-    stubborn = parse_surd("2 + sqrt(2)")  # not a unit, nothing to peel
-    out, complete = modulus.factor_into_units(UnitProduct([(stubborn, 1)]), 4)
-    assert not complete
-    assert product_signature(out) == {"2 + sqrt(2)": 1}
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2), min_size=15, max_size=15).filter(any))
+@example([2] * 15)
+def test_factor_into_units_rebuilds_products_of_subfield_units(powers):
+    # x = prod_d eps_d^-k_d over the 15 quadratic subfields of Q(sqrt(2), sqrt(3), sqrt(5), sqrt(7));
+    # all k_d = 2 gives x ~ 1e-38 from 12-digit coefficients, which 2*12 + 20 digits cannot resolve
+    x = SurdElement(1)
+    for d, k in zip(SUBFIELDS_210, powers):
+        eps = pell.unit_value(pell.solve_even_pell(d if d % 4 == 1 else 4 * d))
+        x = x * eps.conjugate(d) ** k
+    out = modulus.factor_into_units(UnitProduct([(x, 1)]))
+    assert all(e.denominator == 1 for _, e in out.factors)
+    assert out.expand_exact() == x
+    assert out.all_unit_norms()
 
 
 def test_small_modulus_closed_forms():
