@@ -1,7 +1,8 @@
 """Minimal solutions of T^2 - delta U^2 = 4 and the units they define.
 
-The continued fraction of sqrt(delta) delivers the fundamental solution;
-eps = (T + U sqrt(delta))/2 is a unit of norm one in the real quadratic
+Walking the rho cycle of the principal reduced form of discriminant delta
+(or 4 delta) and multiplying its step matrices gives an automorph whose trace
+is T; eps = (T + U sqrt(delta))/2 is a unit of norm one in the real quadratic
 order, and these units are exactly what the g_{2n} product formula consumes.
 """
 

@@ -13,7 +13,7 @@ import sys
 
 import mpmath as mp
 
-from . import highprec, modulus, qforms, weber
+from . import highprec, modulus, pell, qforms, weber
 from .surd import NotASquareError
 
 
@@ -60,7 +60,7 @@ def cmd_forms(args) -> int:
 def cmd_g2n(args) -> int:
     prec = args.prec
     product, value = weber.g2n(args.n, prec)
-    with mp.workdps(prec + 10):
+    with mp.workdps(prec + highprec.GUARD):
         qseries = highprec.gn_numeric(2 * args.n, prec)
         residual = value - qseries
     payload = {
@@ -216,16 +216,13 @@ def cmd_verify(args) -> int:
     elif args.check == "dirichlet":
         prec = args.prec
         delta = args.delta
-        with mp.workdps(prec + 10):
-            finite = weber.l_value(delta, prec)
-            K = qforms.weighted_class_number(delta, prec)
+        with mp.workdps(prec + highprec.GUARD):
+            finite = highprec.dirichlet_l_one(delta, prec)
+            K = qforms.weighted_class_number(delta)
             if delta < 0:
                 closed = mp.pi / mp.sqrt(-delta) * K.numerator / K.denominator
             else:
-                from . import pell
-
-                sol = pell.solve_even_pell(delta)
-                eps = (sol.T + sol.U * mp.sqrt(delta)) / 2
+                eps = pell.unit_value(pell.solve_even_pell(delta)).evalf()
                 closed = mp.log(eps) / mp.sqrt(delta) * K.numerator / K.denominator
             residual = finite - closed
         payload, code = _verify_payload(

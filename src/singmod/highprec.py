@@ -13,7 +13,7 @@ import mpmath as mp
 
 from . import arith
 
-_GUARD = 12
+GUARD = 12  # guard digits added to every requested precision
 
 
 def _to_mpf(x):
@@ -24,7 +24,7 @@ def _to_mpf(x):
 
 def agm(a, b, prec: int = 50):
     """Arithmetic-geometric mean of nonnegative a, b."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         x, y = _to_mpf(a), _to_mpf(b)
         if x < 0 or y < 0:
             raise ValueError("agm needs nonnegative arguments")
@@ -38,7 +38,7 @@ def agm(a, b, prec: int = 50):
 
 def ell_K(k, prec: int = 50):
     """Complete elliptic integral K(k) = pi / (2 agm(1, sqrt(1 - k^2)))."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         k = _to_mpf(k)
         if not 0 <= k < 1:
             raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
@@ -50,11 +50,11 @@ def F_series(alpha, prec: int = 50, max_terms: int = 10**6):
 
     Returns (partial_sum, tail_bound).  The sum equals (2/pi) K(sqrt(alpha)).
     """
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         a = _to_mpf(alpha)
         if not 0 <= a < 1:
             raise ValueError(f"series needs 0 <= alpha < 1, got {a}")
-        eps = mp.mpf(10) ** (-(prec + _GUARD // 2))
+        eps = mp.mpf(10) ** (-(prec + GUARD // 2))
         total = mp.mpf(1)
         term = mp.mpf(1)
         k = 0
@@ -70,14 +70,14 @@ def F_series(alpha, prec: int = 50, max_terms: int = 10**6):
 
 def verify_ratio_value(alpha, prec: int = 50):
     """F(1 - alpha)/F(alpha) evaluated through the AGM."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         a = _to_mpf(alpha)
         return ell_K(mp.sqrt(1 - a), prec) / ell_K(mp.sqrt(a), prec)
 
 
 def gn_numeric(n, prec: int = 50):
     """Ramanujan's invariant g_n = 2^(-1/4) e^(pi sqrt(n)/24) prod(1 - e^(-(2k-1) pi sqrt(n)))."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         x = _to_mpf(n)
         if x <= 0:
             raise ValueError("g_n needs n > 0")
@@ -96,7 +96,7 @@ def gn_numeric(n, prec: int = 50):
 
 def eta(omega, prec: int = 50):
     """Dedekind eta(omega) = e^(pi i omega / 12) prod(1 - e^(2 pi i n omega))."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         w = mp.mpc(omega)
         if mp.im(w) <= 0:
             raise ValueError("eta needs Im(omega) > 0")
@@ -125,7 +125,7 @@ def _sigma3_table(N: int) -> list[int]:
 
 def j_invariant(tau, prec: int = 50):
     """Klein j(tau) from the q-series [1 + 240 sum sigma_3(n) q^n]^3 / (q prod(1-q^n)^24)."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         t = mp.mpc(tau)
         if mp.im(t) <= 0:
             raise ValueError("j needs Im(tau) > 0")
@@ -153,7 +153,7 @@ def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:
     from . import qforms
 
     forms = qforms.reduced_forms(disc)
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         root = mp.sqrt(-disc)
         jvals = []
         for F in forms:
@@ -191,7 +191,7 @@ def dirichlet_l_one(delta: int, prec: int = 50):
     """
     if not arith.is_fundamental_discriminant(delta) or delta == 1:
         raise ValueError(f"need a fundamental discriminant != 1, got {delta}")
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         if delta < 0:
             q = -delta
             S = sum(arith.kronecker(delta, a) * (q - 2 * a) for a in range(1, q))
@@ -236,7 +236,7 @@ def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
     m = A * C - B * B
     if m <= 0 or A <= 0:
         raise ValueError("form must be positive definite")
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         s = _to_mpf(s)
         if s == 1:
             raise ValueError("epstein_zeta has a pole at s = 1; use epstein_constant_term")
@@ -258,7 +258,7 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
     m = A * C - B * B
     if m <= 0 or A <= 0:
         raise ValueError("form must be positive definite")
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         c = mp.pi / mp.sqrt(m)
         cutoff = (mp.mp.prec + 16) * mp.log(2) / c
         total = c * (mp.euler + mp.log(c) - 1)
@@ -274,11 +274,11 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
 def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
     """Kronecker's closed form for the Epstein constant term at s = 1."""
     m = A * C - B * B
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         rm = mp.sqrt(m)
         w1 = (B + 1j * rm) / A
         w2 = (-B + 1j * rm) / A
-        prod = eta(w1, prec + _GUARD) * eta(w2, prec + _GUARD)
+        prod = eta(w1, prec + GUARD) * eta(w2, prec + GUARD)
         return (
             2 * mp.pi * mp.euler / rm
             + mp.pi / rm * mp.log(mp.mpf(A) / (4 * m))
@@ -288,14 +288,14 @@ def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
 
 def verify_grenzformel(A: int, B: int, C: int, prec: int = 30):
     """Residual between the continued Epstein constant term and the closed form."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         return epstein_constant_term(A, B, C, prec) - grenzformel_rhs(A, B, C, prec)
 
 
 def verify_formula_g(A: int, C: int, prec: int = 30):
     """Residual of lim [S_(A,0,2C) - S_(2A,0,C)] = (4 pi / sqrt(m)) ln g_(m/A^2), m = 2AC."""
     m = 2 * A * C
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + GUARD):
         lhs = epstein_constant_term(A, 0, 2 * C, prec) - epstein_constant_term(
             2 * A, 0, C, prec
         )

@@ -38,12 +38,10 @@ from .surd import (
     field_norm,
 )
 
-_GUARD = 12
-
 
 def k_from_g_numeric(g, prec: int = 50):
     """k = g^6 (sqrt(g^12 + g^-12) - g^6), the root of 1/k - k = 2 g^12 in (0, 1)."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + highprec.GUARD):
         g = mp.mpf(g)
         if g <= 0:
             raise ValueError("g must be positive")
@@ -306,7 +304,7 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
         ]
         for mask in range(1, 1 << r):
             d = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
-            eps = pell.unit_value(pell.solve_even_pell(d if d % 4 == 1 else 4 * d))
+            eps = pell.unit_value(pell.solve_even_pell(d))
             walsh = mp.fsum(-v if bin(s & mask).count("1") % 2 else v for s, v in enumerate(logs))
             e = Fraction(int(mp.nint(-2 * walsh / ((1 << r) * mp.log(eps.evalf())))), 2)
             if e == 0:
@@ -365,7 +363,7 @@ class SingularModulus:
 
 def verify_ratio(alpha, n, prec: int = 50):
     """Residual F(1 - alpha)/F(alpha) - sqrt(n), via AGM elliptic integrals."""
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + highprec.GUARD):
         if isinstance(alpha, SurdElement):
             alpha = alpha.evalf()
         elif isinstance(alpha, Fraction):
@@ -384,7 +382,7 @@ def small_modulus(n: int, prec: int = 50) -> SingularModulus:
         k = SurdElement({2: Fraction(3, 8), 14: -Fraction(1, 8)})
     else:
         raise ValueError(f"no small closed form for n = {n}")
-    with mp.workdps(prec + _GUARD):
+    with mp.workdps(prec + highprec.GUARD):
         kv = k.evalf()
         av = kv * kv
         res = verify_ratio(av, n, prec)
@@ -418,7 +416,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
             last_err = err
             continue
         k_product = factor_into_units(factors)
-        with mp.workdps(prec + _GUARD):
+        with mp.workdps(prec + highprec.GUARD):
             kv = x1.evalf()
             av = kv * kv
             res = verify_ratio(av, n, prec)
@@ -438,8 +436,8 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
 
 def _numeric_modulus(n, prec: int = 50) -> SingularModulus:
     """Numeric-only modulus through the q-series for g_n and the root formula."""
-    with mp.workdps(prec + _GUARD):
-        g = highprec.gn_numeric(n, prec + _GUARD)
+    with mp.workdps(prec + highprec.GUARD):
+        g = highprec.gn_numeric(n, prec + highprec.GUARD)
         k = k_from_g_numeric(g, prec)
         res = verify_ratio(k * k, n, prec)
         return SingularModulus(n, k, k * k, res)

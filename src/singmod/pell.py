@@ -1,10 +1,12 @@
-"""Minimal Pell solutions via continued fractions; units of the even equation."""
+"""Minimal solutions of the even Pell equation from the principal rho cycle; their units."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import qforms
 
 
 @dataclass(frozen=True)
@@ -20,88 +22,19 @@ class PellSolution:
             raise ValueError(f"({self.T}, {self.U}) does not solve the even Pell equation for {self.delta}")
 
 
-def _cf_sqrt_periodic(d: int):
-    """Partial quotients of sqrt(d) for nonsquare d (a0, then periodic part)."""
-    a0 = math.isqrt(d)
-    P, Q = 0, 1
-    a = a0
-    while True:
-        yield a
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        a = (a0 + P) // Q
-
-
-def fundamental_unit_pell(d: int) -> tuple[int, int]:
-    """Minimal (x, y), y >= 1, with x^2 - d y^2 = 1."""
-    if d < 2 or math.isqrt(d) ** 2 == d:
-        raise ValueError(f"need nonsquare d >= 2, got {d}")
-    p_prev, q_prev = 1, 0
-    p, q = None, None
-    for a in _cf_sqrt_periodic(d):
-        if p is None:
-            p, q = a, 1
-        else:
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-        v = p * p - d * q * q
-        if v == 1:
-            return p, q
-        if v == -1:
-            # square the norm -1 unit
-            return p * p + d * q * q, 2 * p * q
-
-
 def solve_even_pell(delta: int) -> PellSolution:
     """Minimal solution of T^2 - delta U^2 = 4 with T, U >= 1.
 
-    For delta = 0 mod 4 the equation reduces to (T/2)^2 - (delta/4) U^2 = 1;
-    for delta = 2, 3 mod 4 parity forces (T, U) = (2x, 2y) from the unit Pell
-    equation; for delta = 1 mod 4 an odd solution may be smaller and is picked
-    up from the convergents of sqrt(delta) (every solution of x^2 - delta y^2
-    = +-4 < sqrt(delta) is a convergent), with tiny delta scanned directly.
+    The rho cycle of the principal form (1, b, c) of discriminant D = delta
+    (delta = 0, 1 mod 4) or D = 4 delta (delta = 2, 3 mod 4, where parity
+    forces U even) multiplies out to the automorph +-((T - bu)/2, u; -cu,
+    (T + bu)/2) of the minimal solution of T^2 - D u^2 = 4; U = u or 2u.
     """
     if delta < 2 or math.isqrt(delta) ** 2 == delta:
         raise ValueError(f"need nonsquare delta >= 2, got {delta}")
-    r = delta % 4
-    if r == 0:
-        x, y = fundamental_unit_pell(delta // 4)
-        return PellSolution(delta, 2 * x, y)
-    x1, y1 = fundamental_unit_pell(delta)
-    best = (2 * x1, 2 * y1)
-    if r == 1:
-        if delta < 17:
-            u = 1
-            while u < best[1]:
-                tt = 4 + delta * u * u
-                t = math.isqrt(tt)
-                if t * t == tt:
-                    best = (t, u)
-                    break
-                u += 1
-        else:
-            candidates = []
-            p_prev, q_prev = 1, 0
-            p, q = None, None
-            for a in _cf_sqrt_periodic(delta):
-                if p is None:
-                    p, q = a, 1
-                else:
-                    p, p_prev = a * p + p_prev, p
-                    q, q_prev = a * q + q_prev, q
-                v = p * p - delta * q * q
-                if v == 4:
-                    candidates.append((p, q))
-                elif v == -4:
-                    candidates.append(((p * p + delta * q * q) // 2, p * q))
-                elif v == -1:
-                    candidates.append((2 * (p * p + delta * q * q), 4 * p * q))
-                if v in (1, -1) or q > y1:
-                    break
-            for cand in candidates:
-                if cand[1] < best[1]:
-                    best = cand
-    return PellSolution(delta, best[0], best[1])
+    D = delta if delta % 4 in (0, 1) else 4 * delta
+    _, g = qforms.rho_cycle(qforms.principal_form(D))
+    return PellSolution(delta, abs(g.r + g.u), abs(g.s) * (1 if D == delta else 2))
 
 
 def unit_value(sol: PellSolution):

@@ -2,6 +2,10 @@
 
 A form (a, b, c) stands for aX^2 + bXY + cY^2.  Gauss forms AX^2 + 2BXY + CY^2
 of determinant m = AC - B^2 correspond to (A, 2B, C) with discriminant -4m.
+Definite forms reduce to a unique representative; reduced indefinite forms
+fall into rho cycles, one per proper class, and the product of a cycle's step
+matrices is the automorph that carries the minimal even-Pell solution.  Every
+class count here is exact.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import arith
 
@@ -151,13 +153,66 @@ def class_number(disc: int) -> int:
     return len(reduced_forms(disc))
 
 
-def weighted_class_number(delta: int, prec: int = 40) -> Fraction:
+def reduced_indefinite_forms(disc: int) -> list[QuadForm]:
+    """All primitive reduced forms of positive nonsquare discriminant.
+
+    (a, b, c) is reduced when |sqrt(disc) - 2|a|| < b < sqrt(disc); with
+    r = isqrt(disc) that is 0 < b <= r and r - b < 2|a| <= r + b.
+    """
+    if disc <= 0 or disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+        raise ValueError(f"need a positive nonsquare discriminant, got {disc}")
+    r = math.isqrt(disc)
+    forms = []
+    for b in range(r - (r - disc) % 2, 0, -2):
+        ac = (b * b - disc) // 4
+        for a in range((r - b) // 2 + 1, (r + b) // 2 + 1):
+            if ac % a == 0 and math.gcd(math.gcd(a, b), ac // a) == 1:
+                forms += [QuadForm(a, b, ac // a), QuadForm(-a, b, -ac // a)]
+    return forms
+
+
+def principal_form(disc: int) -> QuadForm:
+    """The reduced form (1, b, (b^2 - disc)/4) of positive discriminant, b maximal."""
+    b = math.isqrt(disc)
+    b -= (b - disc) % 2
+    return QuadForm(1, b, (b * b - disc) // 4)
+
+
+def rho(F: QuadForm) -> tuple[QuadForm, GLMatrix]:
+    """One reduction step (a, b, c) -> (c, b', .) of a reduced indefinite form.
+
+    b' = -b + 2cs is the representative of -b mod 2|c| in (sqrt(D) - 2|c|, sqrt(D)),
+    so the image is reduced again; the step matrix has determinant +1.
+    """
+    r = math.isqrt(F.discriminant)
+    b = r - (r + F.b) % (2 * abs(F.c))
+    step = GLMatrix(0, 1, -1, (F.b + b) // (2 * F.c))
+    return apply(step, F), step
+
+
+def rho_cycle(F: QuadForm) -> tuple[list[QuadForm], GLMatrix]:
+    """The rho cycle of a reduced indefinite form and the product of its steps.
+
+    The product g satisfies apply(g, F) == F: it is +-((T - bU)/2, aU; -cU,
+    (T + bU)/2), the automorph of F for the minimal solution of T^2 - D U^2 = 4.
+    """
+    cycle, g = [F], IDENTITY
+    while True:
+        G, step = rho(cycle[-1])
+        g = step @ g
+        if G == F:
+            return cycle, g
+        cycle.append(G)
+
+
+def weighted_class_number(delta: int) -> Fraction:
     """Class count K(delta) entering the Dirichlet formulas.
 
     Negative delta: the properly primitive class number, weighted 1/3 at -3 and
-    1/2 at -4 (the extra units).  Positive delta: recovered by inverting the
-    Dirichlet value L(1, chi) = K * ln(eps) / sqrt(delta) with eps the minimal
-    even-Pell unit, then checked to be an integer.
+    1/2 at -4 (the extra units).  Positive delta: the narrow class number, the
+    number of rho cycles of reduced forms (Gauss), for which the class number
+    formula reads L(1, chi) = K * ln(eps) / sqrt(delta) with eps the minimal
+    even-Pell unit.
     """
     if not arith.is_fundamental_discriminant(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
@@ -167,17 +222,11 @@ def weighted_class_number(delta: int, prec: int = 40) -> Fraction:
         return Fraction(1, 2)
     if delta < 0:
         return Fraction(class_number(delta))
-    from . import highprec, pell
-
-    sol = pell.solve_even_pell(delta)
-    with mp.workdps(prec + 10):
-        L = highprec.dirichlet_l_one(delta, prec + 10)
-        eps = (sol.T + sol.U * mp.sqrt(delta)) / 2
-        k = L * mp.sqrt(delta) / mp.log(eps)
-        k_int = int(mp.nint(k))
-        if abs(k - k_int) > mp.mpf("1e-6"):
-            raise ArithmeticError(f"class count for {delta} not integral: {k}")
-    return Fraction(k_int)
+    forms, cycles = set(reduced_indefinite_forms(delta)), 0
+    while forms:
+        forms.difference_update(rho_cycle(forms.pop())[0])
+        cycles += 1
+    return Fraction(cycles)
 
 
 def representation_count(F: QuadForm, N: int) -> int:

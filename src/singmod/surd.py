@@ -375,13 +375,13 @@ def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | Non
     return None
 
 
-def exact_sqrt(x: SurdElement, target_radicands=None, ambient_primes=None) -> SurdElement:
+def exact_sqrt(x: SurdElement, ambient_primes=None) -> SurdElement:
     """The positive square root of x in Q(sqrt(p) : p in P), or NotASquareError.
 
-    P is the prime support of x, widened by `ambient_primes` and by the primes
-    of `target_radicands`.  A rational x gets its root sqrt(s^2 d) = s sqrt(d)
-    whatever P is.  Otherwise the root is found by denesting down the tower of
-    quadratic extensions (`_sqrt_in_tower`) and verified by squaring.
+    P is the prime support of x, widened by `ambient_primes`.  A rational x gets
+    its root sqrt(s^2 d) = s sqrt(d) whatever P is.  Otherwise the root is found
+    by denesting down the tower of quadratic extensions (`_sqrt_in_tower`) and
+    verified by squaring.
     """
     if x.is_zero():
         return SurdElement()
@@ -395,8 +395,6 @@ def exact_sqrt(x: SurdElement, target_radicands=None, ambient_primes=None) -> Su
     primes = set(x.prime_support())
     if ambient_primes:
         primes.update(ambient_primes)
-    for t in target_radicands or ():
-        primes.update(arith.factorize(t))
     root = _sqrt_in_tower(x, tuple(sorted(primes)))
     if root is None:
         raise NotASquareError(f"{x} has no square root over the primes {sorted(primes)}")

@@ -1,4 +1,4 @@
-"""The g_{2n} engine: weighted sums over form classes and Dirichlet L-values.
+"""The g_{2n} engine: weighted sums over form classes and the product formula.
 
 For m = 2n = 2 * (product of t distinct odd primes) with every reduced form of
 determinant m diagonal, the surviving weighted sums pair each odd fundamental
@@ -8,7 +8,10 @@ and yield
     g_m ** (2h) = prod over survivors of eps(delta_+) ** (K(delta) K(delta'))
 
 where h = 2^t, eps is the minimal even-Pell unit of the positive member of the
-pair and K the weighted class counts.  The product is returned exactly.
+pair and K the weighted class counts (qforms.weighted_class_number), which the
+Dirichlet class number formula ties to L(1, chi_delta) L(1, chi_delta').  Both
+come from form cycles, so the product is exact; only its cross-check against
+the q-series is numeric.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ import mpmath as mp
 
 from . import arith, highprec, pell, qforms
 from .surd import UnitProduct
-
-
-def l_value(delta: int, prec: int = 50):
-    """L(1, chi_delta) via the finite character-sum closed forms."""
-    return highprec.dirichlet_l_one(delta, prec)
 
 
 @dataclass(frozen=True)

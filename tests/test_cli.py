@@ -112,6 +112,16 @@ def test_verify_dirichlet(capsys):
     assert data["finite_sum"].startswith("0.604599")
 
 
+def test_verify_dirichlet_positive(capsys):
+    # K(280) = 4 cycles of reduced forms, eps = 251 + 30 sqrt(70)
+    code, out, _ = run(capsys, ["verify", "dirichlet", "--delta", "280", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert data["finite_sum"].startswith("1.4865288060")
+    assert data["closed_form"] == data["finite_sum"]
+
+
 def test_verify_ratio_210(capsys):
     code, out, _ = run(capsys, ["verify", "ratio", "--n", "210"])
     assert code == 0 and out.startswith("PASS")

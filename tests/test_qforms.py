@@ -145,6 +145,31 @@ def test_weighted_class_numbers():
     assert qforms.weighted_class_number(-40) == 2
     assert qforms.weighted_class_number(-8) == 1
     assert qforms.weighted_class_number(8) == 1
+    assert qforms.weighted_class_number(229) == 3  # h = 3, unit of norm -1
+
+
+def test_rho_cycles_partition_the_reduced_indefinite_forms():
+    for disc in (5, 8, 12, 21, 60, 280, 316, 1105):
+        forms = qforms.reduced_indefinite_forms(disc)
+        assert len(set(forms)) == len(forms)
+        covered = []
+        for F in forms:
+            cycle, g = qforms.rho_cycle(F)
+            # a changes sign at every step, so a cycle has even length
+            assert len(cycle) % 2 == 0 and cycle[0] == F
+            assert g.det == 1 and qforms.apply(g, F) == F
+            assert set(cycle) <= set(forms)
+            nxt, step = qforms.rho(F)
+            assert step.det == 1 and nxt == cycle[1 % len(cycle)]
+            if F not in covered:
+                covered += cycle
+        assert sorted(covered, key=str) == sorted(forms, key=str)
+
+
+def test_reduced_indefinite_forms_reject_bad_discriminants():
+    for disc in (0, 9, 7, -20):
+        with pytest.raises(ValueError):
+            qforms.reduced_indefinite_forms(disc)
 
 
 def test_weighted_class_number_rejects_non_fundamental():

@@ -170,9 +170,10 @@ def test_exact_sqrt_square_recognitions():
 
 
 def test_exact_sqrt_with_targets():
-    got = exact_sqrt(parse_surd("249 + 24*sqrt(105)"), target_radicands={1, 105})
+    # both roots lie in Q(sqrt(3), sqrt(5), sqrt(7)), the field of x's own primes
+    got = exact_sqrt(parse_surd("249 + 24*sqrt(105)"))
     assert got == parse_surd("12 + sqrt(105)")
-    got = exact_sqrt(parse_surd("248 + 24*sqrt(105)"), target_radicands={3, 35})
+    got = exact_sqrt(parse_surd("248 + 24*sqrt(105)"))
     assert got == parse_surd("6*sqrt(3) + 2*sqrt(35)")
 
 

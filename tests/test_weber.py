@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from singmod import arith, pell, qforms, weber
+from singmod import arith, highprec, pell, qforms, weber
 from singmod.surd import SurdElement, parse_surd
 
 # the 8x8 symbol table for m = 210: rows by form (A + C labels), columns by
@@ -33,46 +33,68 @@ DIFFERENCES_210 = {
 
 def test_l_value_negative_golden():
     with mp.workdps(45):
-        L = weber.l_value(-3, 40)
+        L = highprec.dirichlet_l_one(-3, 40)
         assert abs(L - mp.pi / (3 * mp.sqrt(3))) < mp.mpf("1e-25")
 
 
 def test_l_value_positive_golden():
     with mp.workdps(45):
-        L = weber.l_value(280, 40)
+        L = highprec.dirichlet_l_one(280, 40)
         closed = 8 / mp.sqrt(280) * mp.log(5 * mp.sqrt(5) + 3 * mp.sqrt(14))
         assert abs(L - closed) < mp.mpf("1e-25")
 
 
 def test_l_value_five_agrees_with_unit_form():
     with mp.workdps(45):
-        L = weber.l_value(5, 40)
+        L = highprec.dirichlet_l_one(5, 40)
         eps = (3 + mp.sqrt(5)) / 2
         assert abs(L - mp.log(eps) / mp.sqrt(5)) < mp.mpf("1e-35")
 
 
 def test_l_value_rejects_one():
     with pytest.raises(ValueError):
-        weber.l_value(1)
+        highprec.dirichlet_l_one(1)
+
+
+CONVENIENT = (2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462)
+
+
+def _class_number_formula_residual(delta):
+    """L(1, chi) as a finite sum minus its closed form in the exact K(delta)."""
+    L = highprec.dirichlet_l_one(delta, 40)
+    K = qforms.weighted_class_number(delta)
+    Kv = mp.mpf(K.numerator) / K.denominator
+    if delta < 0:
+        return L - mp.pi / mp.sqrt(-delta) * Kv
+    eps = pell.unit_value(pell.solve_even_pell(delta)).evalf()
+    return L - mp.log(eps) / mp.sqrt(delta) * Kv
 
 
 def test_class_number_formula_all_discriminants_in_scope():
     deltas = set()
-    for m in (30, 210):
+    for m in CONVENIENT:
         for p in weber.disc_pairs(m):
             deltas.update({p.delta, p.delta_prime})
     deltas.discard(1)
     with mp.workdps(50):
         for delta in sorted(deltas, key=abs):
-            L = weber.l_value(delta, 40)
-            K = qforms.weighted_class_number(delta)
-            Kv = mp.mpf(K.numerator) / K.denominator
-            if delta < 0:
-                closed = mp.pi / mp.sqrt(-delta) * Kv
-            else:
-                sol = pell.solve_even_pell(delta)
-                closed = mp.log((sol.T + sol.U * mp.sqrt(delta)) / 2) / mp.sqrt(delta) * Kv
-            assert abs(L - closed) < mp.mpf("1e-30"), delta
+            assert abs(_class_number_formula_residual(delta)) < mp.mpf("1e-30"), delta
+
+
+def test_class_number_formula_positive_fundamental_below_200():
+    deltas = [d for d in range(2, 200) if arith.is_fundamental_discriminant(d)]
+    assert len(deltas) == 60
+    with mp.workdps(50):
+        for delta in deltas:
+            assert abs(_class_number_formula_residual(delta)) < mp.mpf("1e-30"), delta
+
+
+def test_genus_count_divides_class_count():
+    # the 2^(omega - 1) genera of delta split the narrow classes evenly
+    for delta in range(2, 3000):
+        if arith.is_fundamental_discriminant(delta):
+            omega = len(arith.factorize(delta))
+            assert qforms.weighted_class_number(delta) % 2 ** (omega - 1) == 0, delta
 
 
 def test_disc_pairs():
@@ -130,12 +152,10 @@ def test_survivor_coefficients_collapse():
 
 def test_weighted_sum_total_collapse_numeric():
     # sum of the four surviving sums equals (32 pi / sqrt(210)) ln g_210
-    from singmod import highprec
-
     with mp.workdps(50):
         total = mp.mpf(0)
         for s in weber.surviving_sums(210):
-            total += 4 * weber.l_value(s.delta, 45) * weber.l_value(s.pair.delta_prime, 45)
+            total += 4 * highprec.dirichlet_l_one(s.delta, 45) * highprec.dirichlet_l_one(s.pair.delta_prime, 45)
         rhs = 32 * mp.pi / mp.sqrt(210) * mp.log(highprec.gn_numeric(210, 45))
         assert abs(total - rhs) < mp.mpf("1e-30")
 
