@@ -7,6 +7,8 @@ roughly the requested number of digits.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -114,34 +116,31 @@ def eta(omega, prec: int = 50):
         return out
 
 
-def _sigma3_table(N: int) -> list[int]:
-    sig = [0] * (N + 1)
-    for d in range(1, N + 1):
-        cube = d * d * d
-        for mult in range(d, N + 1, d):
-            sig[mult] += cube
-    return sig
-
-
 def j_invariant(tau, prec: int = 50):
-    """Klein j(tau) from the q-series [1 + 240 sum sigma_3(n) q^n]^3 / (q prod(1-q^n)^24)."""
+    """Klein j(tau) = 32 (theta2^8 + theta3^8 + theta4^8)^3 / (theta2 theta3 theta4)^8.
+
+    With q = e^(pi i tau): theta3, theta4 = 1 +- 2 sum q^(n^2) (alternating for
+    theta4), theta2 = 2 q^(1/4) s2 with s2 = sum_(n>=0) q^(n(n+1)).  Each power
+    of q is one product from the last; the sums stop at |q^(n^2)| < 2^-(bits + 24),
+    after O(sqrt(bits / Im tau)) terms.  On the imaginary axis q is real.
+    """
     with mp.workdps(prec + GUARD):
         t = mp.mpc(tau)
         if mp.im(t) <= 0:
             raise ValueError("j needs Im(tau) > 0")
-        real_axis = mp.re(t) == 0
-        q = mp.exp(-2 * mp.pi * mp.im(t)) if real_axis else mp.exp(2j * mp.pi * t)
-        # truncation: |q|^N below working epsilon with margin
-        N = int((mp.mp.prec + 24) * mp.log(2) / (2 * mp.pi * mp.im(t))) + 2
-        sig = _sigma3_table(N)
-        e4 = mp.mpf(1) if real_axis else mp.mpc(1)
-        delta = q
-        qn = q * 0 + 1
+        q = mp.exp(-mp.pi * mp.im(t)) if mp.re(t) == 0 else mp.exp(1j * mp.pi * t)
+        N = int(mp.sqrt((mp.mp.prec + 24) * mp.log(2) / (mp.pi * mp.im(t)))) + 1
+        qn = sq = rect = q * 0 + 1  # q^n, q^(n^2), q^(n(n+1)) at n = 0
+        s2, s3, s4 = qn, qn, qn
         for n in range(1, N + 1):
             qn *= q
-            e4 += 240 * sig[n] * qn
-            delta *= (1 - qn) ** 24
-        return e4**3 / delta
+            sq = rect * qn
+            rect = sq * qn
+            s2 += rect
+            s3 += 2 * sq
+            s4 += (-2 if n % 2 else 2) * sq
+        q2s8 = q * q * s2**8
+        return (256 * q2s8 + s3**8 + s4**8) ** 3 / (8 * q2s8 * (s3 * s4) ** 8)
 
 
 def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:
@@ -207,31 +206,32 @@ def dirichlet_l_one(delta: int, prec: int = 50):
 # -- Epstein zeta: analytic continuation and the constant term at s = 1 -----
 
 
-def _lattice_points(A: int, B: int, C: int, bound) -> list[tuple[int, int]]:
-    """Nonzero (x, y) with Q(x, y) = Ax^2 + 2Bxy + Cy^2 <= bound."""
+def _lattice_values(A: int, B: int, C: int, bound) -> Counter:
+    """{Q: count} over the nonzero (x, y) with Q(x, y) = Ax^2 + 2Bxy + Cy^2 <= bound.
+
+    The dual form (C, -B, A) takes at (y, -x) the value Q takes at (x, y), so
+    this one count serves both halves of the incomplete-gamma representation.
+    """
     m = A * C - B * B
-    pts = []
-    ymax = int(mp.sqrt(bound * A / m)) + 1
+    top = int(mp.floor(bound))
+    counts = Counter()
+    ymax = math.isqrt(A * top // m)
     for y in range(-ymax, ymax + 1):
-        # solve A x^2 + 2B x y + (C y^2 - bound) <= 0
-        disc = (B * B - A * C) * y * y + A * bound
-        if disc < 0:
-            continue
-        half = mp.sqrt(disc)
-        lo = int(mp.ceil((-B * y - half) / A))
-        hi = int(mp.floor((-B * y + half) / A))
-        for x in range(lo, hi + 1):
-            if x == 0 and y == 0:
-                continue
-            pts.append((x, y))
-    return pts
+        # A Q(x, y) = (Ax + By)^2 + m y^2, so |Ax + By| <= r
+        r = math.isqrt(A * top - m * y * y)
+        for x in range(-((r + B * y) // A), (r - B * y) // A + 1):
+            if x or y:
+                counts[A * x * x + 2 * B * x * y + C * y * y] += 1
+    return counts
 
 
 def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
     """Analytic continuation of sum' Q(x,y)^(-s) for the Gauss form (A, B, C).
 
     Uses the symmetric incomplete-gamma representation split at the self-dual
-    point c = pi/sqrt(m); valid for real s != 1 (and s != 0).
+    point c = pi/sqrt(m); valid for real s != 1 (and s != 0).  The form and its
+    dual represent the same values equally often, so each represented value Q
+    is evaluated once and weighted by its count of lattice points.
     """
     m = A * C - B * B
     if m <= 0 or A <= 0:
@@ -243,18 +243,21 @@ def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
         c = mp.pi / mp.sqrt(m)
         cutoff = (mp.mp.prec + 16) * mp.log(2) / c
         total = c**s * (1 / (s - 1) - 1 / s)
-        for x, y in _lattice_points(A, B, C, cutoff):
-            qv = A * x * x + 2 * B * x * y + C * y * y
-            total += mp.gammainc(s, a=c * qv) * mp.power(qv, -s)
         dual = c ** (2 * s - 1)
-        for x, y in _lattice_points(C, -B, A, cutoff):
-            qv = C * x * x - 2 * B * x * y + A * y * y
-            total += dual * mp.gammainc(1 - s, a=c * qv) * mp.power(qv, s - 1)
+        for qv, count in sorted(_lattice_values(A, B, C, cutoff).items()):
+            total += count * (
+                mp.gammainc(s, a=c * qv) * mp.power(qv, -s)
+                + dual * mp.gammainc(1 - s, a=c * qv) * mp.power(qv, s - 1)
+            )
         return total / mp.gamma(s)
 
 
 def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
-    """Constant term of sum' Q(x,y)^(-s) at s = 1 (pole pi/(sqrt(m)(s-1)) removed)."""
+    """Constant term of sum' Q(x,y)^(-s) at s = 1 (pole pi/(sqrt(m)(s-1)) removed).
+
+    c (euler + ln c - 1) + sum' [exp(-cQ)/Q + c E1(cQ)] with c = pi/sqrt(m),
+    summed once per represented value Q, in increasing Q, times its count.
+    """
     m = A * C - B * B
     if m <= 0 or A <= 0:
         raise ValueError("form must be positive definite")
@@ -262,12 +265,8 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
         c = mp.pi / mp.sqrt(m)
         cutoff = (mp.mp.prec + 16) * mp.log(2) / c
         total = c * (mp.euler + mp.log(c) - 1)
-        for x, y in _lattice_points(A, B, C, cutoff):
-            qv = A * x * x + 2 * B * x * y + C * y * y
-            total += mp.exp(-c * qv) / qv
-        for x, y in _lattice_points(C, -B, A, cutoff):
-            qv = C * x * x - 2 * B * x * y + A * y * y
-            total += c * mp.e1(c * qv)
+        for qv, count in sorted(_lattice_values(A, B, C, cutoff).items()):
+            total += count * (mp.exp(-c * qv) / qv + c * mp.e1(c * qv))
         return total
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singmod import highprec as hp
 from singmod import qforms
@@ -154,6 +156,45 @@ def test_j_at_sqrt_minus_210_boxed_quotient():
         assert abs(j - boxed) / abs(boxed) < mp.mpf("1e-30")
 
 
+CONVENIENT = (2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462)
+
+
+def _reduced_form_roots(disc):
+    root = mp.sqrt(-disc)
+    return [(-F.b + 1j * root) / (2 * F.a) for F in qforms.reduced_forms(disc)]
+
+
+def test_j_matches_kleinj_at_every_cm_point():
+    # the points of the class polynomials: all reduced forms of -4n over the
+    # convenient n, plus the conjugate pairs of -23 and the deep point of -163
+    discs = [-4 * n for n in CONVENIENT] + [-23, -163]
+    with mp.workdps(1000 + hp.GUARD):
+        for disc in discs:
+            for tau in _reduced_form_roots(disc):
+                mine = hp.j_invariant(tau, 1000)
+                oracle = 1728 * mp.kleinj(tau)
+                assert abs(mine - oracle) < mp.mpf("1e-990") * abs(oracle), (disc, tau)
+
+
+@st.composite
+def fundamental_domain_points(draw):
+    x = draw(st.floats(min_value=-0.5, max_value=0.5))
+    t = draw(st.floats(min_value=0, max_value=1))
+    floor = (1 - x * x) ** 0.5
+    return mp.mpc(x, floor + t * (3 - floor))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fundamental_domain_points())
+def test_j_is_modular(tau):
+    with mp.workdps(80):
+        shifted, inverted = tau + 1, -1 / tau
+        j = hp.j_invariant(tau, 60)
+        tol = mp.mpf("1e-50") * max(1, abs(j))
+        assert abs(hp.j_invariant(shifted, 60) - j) < tol
+        assert abs(hp.j_invariant(inverted, 60) - j) < tol
+
+
 def test_class_polynomial_degree_one():
     assert hp.class_polynomial(-4, 40) == [1, -1728]
 
@@ -226,6 +267,37 @@ def test_grenzformel_residuals():
     for form in ((1, 0, 1), (1, 0, 210), (2, 0, 105), (5, 2, 7)):
         res = hp.verify_grenzformel(*form, prec=30)
         assert abs(res) < mp.mpf("1e-8"), form
+
+
+@st.composite
+def reduced_positive_forms(draw):
+    C = draw(st.integers(min_value=1, max_value=60))
+    A = draw(st.integers(min_value=1, max_value=C))
+    B = draw(st.integers(min_value=-(A // 2), max_value=A // 2))
+    return A, B, C
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_positive_forms())
+def test_grenzformel_residual_reaches_the_precision(form):
+    assert abs(hp.verify_grenzformel(*form, prec=30)) < mp.mpf("1e-20"), form
+
+
+@pytest.mark.parametrize("form", [(1, 0, 210), (2, 0, 105), (5, 2, 7)])
+def test_epstein_constant_term_equals_the_pointwise_sum(form):
+    A, B, C = form
+    m = A * C - B * B
+    with mp.workdps(30 + hp.GUARD):
+        c = mp.pi / mp.sqrt(m)
+        cutoff = (mp.mp.prec + 16) * mp.log(2) / c
+        reach = int(mp.sqrt(2 * cutoff)) + 1  # Q >= 3 max(|x|, |y|)^2 / 4 when reduced
+        total = c * (mp.euler + mp.log(c) - 1)
+        for x in range(-reach, reach + 1):
+            for y in range(-reach, reach + 1):
+                qv = A * x * x + 2 * B * x * y + C * y * y
+                if (x or y) and qv <= cutoff:
+                    total += mp.exp(-c * qv) / qv + c * mp.e1(c * qv)
+        assert abs(hp.epstein_constant_term(A, B, C, 30) - total) < mp.mpf("1e-38")
 
 
 def test_fundamental_lemma_difference():
