@@ -30,12 +30,7 @@ def agm(a, b, prec: int = 50):
         x, y = _to_mpf(a), _to_mpf(b)
         if x < 0 or y < 0:
             raise ValueError("agm needs nonnegative arguments")
-        if x == 0 or y == 0:
-            return mp.mpf(0)
-        eps = mp.mpf(2) ** (-mp.mp.prec + 4)
-        while abs(x - y) > eps * abs(x):
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-        return (x + y) / 2
+        return mp.agm(x, y)
 
 
 def ell_K(k, prec: int = 50):
@@ -71,10 +66,16 @@ def F_series(alpha, prec: int = 50, max_terms: int = 10**6):
 
 
 def verify_ratio_value(alpha, prec: int = 50):
-    """F(1 - alpha)/F(alpha) evaluated through the AGM."""
+    """F(1 - alpha)/F(alpha) = K(k')/K(k) = agm(1, k')/agm(1, k), k = sqrt(alpha).
+
+    The two square roots are taken straight from alpha and 1 - alpha, so
+    neither complement is formed by cancellation.
+    """
     with mp.workdps(prec + GUARD):
         a = _to_mpf(alpha)
-        return ell_K(mp.sqrt(1 - a), prec) / ell_K(mp.sqrt(a), prec)
+        if not 0 < a < 1:
+            raise ValueError(f"ratio needs 0 < alpha < 1, got {a}")
+        return mp.agm(1, mp.sqrt(1 - a)) / mp.agm(1, mp.sqrt(a))
 
 
 def gn_numeric(n, prec: int = 50):
@@ -116,31 +117,58 @@ def eta(omega, prec: int = 50):
         return out
 
 
+def _theta_sums(q, bits: int):
+    """(s2, theta3, theta4) at the nome q, with theta2 = 2 q^(1/4) s2.
+
+    theta3, theta4 = 1 +- 2 sum q^(n^2) (alternating for theta4) and
+    s2 = sum_(n>=0) q^(n(n+1)).  Each power of q is one product from the last;
+    the sums stop at |q^(n^2)| < 2^-(bits + 24), after O(sqrt(bits / -ln|q|))
+    terms.  q may be real or complex; the sums have its type.
+    """
+    with mp.workprec(53):
+        depth = float(-mp.log(abs(q)))
+    N = int(math.sqrt((bits + 24) * math.log(2) / depth)) + 1
+    qn = sq = rect = q * 0 + 1  # q^n, q^(n^2), q^(n(n+1)) at n = 0
+    s2, s3, s4 = qn, qn, qn
+    for n in range(1, N + 1):
+        qn *= q
+        sq = rect * qn
+        rect = sq * qn
+        s2 += rect
+        s3 += 2 * sq
+        s4 += (-2 if n % 2 else 2) * sq
+    return s2, s3, s4
+
+
 def j_invariant(tau, prec: int = 50):
     """Klein j(tau) = 32 (theta2^8 + theta3^8 + theta4^8)^3 / (theta2 theta3 theta4)^8.
 
-    With q = e^(pi i tau): theta3, theta4 = 1 +- 2 sum q^(n^2) (alternating for
-    theta4), theta2 = 2 q^(1/4) s2 with s2 = sum_(n>=0) q^(n(n+1)).  Each power
-    of q is one product from the last; the sums stop at |q^(n^2)| < 2^-(bits + 24),
-    after O(sqrt(bits / Im tau)) terms.  On the imaginary axis q is real.
+    With q = e^(pi i tau) and the sums of `_theta_sums`, theta2^8 = 256 q^2 s2^8.
+    On the imaginary axis q is real.
     """
     with mp.workdps(prec + GUARD):
         t = mp.mpc(tau)
         if mp.im(t) <= 0:
             raise ValueError("j needs Im(tau) > 0")
         q = mp.exp(-mp.pi * mp.im(t)) if mp.re(t) == 0 else mp.exp(1j * mp.pi * t)
-        N = int(mp.sqrt((mp.mp.prec + 24) * mp.log(2) / (mp.pi * mp.im(t)))) + 1
-        qn = sq = rect = q * 0 + 1  # q^n, q^(n^2), q^(n(n+1)) at n = 0
-        s2, s3, s4 = qn, qn, qn
-        for n in range(1, N + 1):
-            qn *= q
-            sq = rect * qn
-            rect = sq * qn
-            s2 += rect
-            s3 += 2 * sq
-            s4 += (-2 if n % 2 else 2) * sq
+        s2, s3, s4 = _theta_sums(q, mp.mp.prec)
         q2s8 = q * q * s2**8
         return (256 * q2s8 + s3**8 + s4**8) ** 3 / (8 * q2s8 * (s3 * s4) ** 8)
+
+
+def k_numeric(n, prec: int = 50):
+    """Singular modulus k_n = theta2^2/theta3^2 = 4 sqrt(q) s2^2/s3^2 at q = e^(-pi sqrt(n)).
+
+    One exponential and a few terms of `_theta_sums`; every term is positive,
+    so no digit is lost to cancellation, however small k_n is.
+    """
+    with mp.workdps(prec + GUARD):
+        x = _to_mpf(n)
+        if x <= 0:
+            raise ValueError("k_n needs n > 0")
+        r = mp.exp(-mp.pi * mp.sqrt(x) / 2)  # sqrt(q)
+        s2, s3, _ = _theta_sums(r * r, mp.mp.prec)
+        return 4 * r * (s2 / s3) ** 2
 
 
 def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:

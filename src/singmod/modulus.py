@@ -29,7 +29,7 @@ from itertools import combinations
 
 import mpmath as mp
 
-from . import arith, highprec, pell, weber
+from . import arith, highprec, pell, qforms, weber
 from .surd import (
     NotASquareError,
     SurdElement,
@@ -40,13 +40,16 @@ from .surd import (
 
 
 def k_from_g_numeric(g, prec: int = 50):
-    """k = g^6 (sqrt(g^12 + g^-12) - g^6), the root of 1/k - k = 2 g^12 in (0, 1)."""
+    """k = 1/(G + sqrt(G^2 + 1)), G = g^12: the root of 1/k - k = 2 G in (0, 1).
+
+    Every term is positive, so no digit cancels however large G is.
+    """
     with mp.workdps(prec + highprec.GUARD):
         g = mp.mpf(g)
         if g <= 0:
             raise ValueError("g must be positive")
-        g6 = g**6
-        return g6 * (mp.sqrt(g6 * g6 + 1 / (g6 * g6)) - g6)
+        G = g**12
+        return 1 / (G + mp.sqrt(G * G + 1))
 
 
 def split_even_odd(g12: SurdElement) -> tuple[SurdElement, SurdElement]:
@@ -389,21 +392,37 @@ def small_modulus(n: int, prec: int = 50) -> SingularModulus:
     return SingularModulus(n, kv, av, res, k_surd=k)
 
 
-def _pipeline_applicable(n: int) -> bool:
-    return n % 2 == 0 and (n // 2) % 2 == 1 and arith.is_squarefree(n // 2)
+def is_convenient(n: int) -> bool:
+    """True for n = 2 * (odd squarefree) with every reduced form of -4n diagonal.
+
+    These are the n the exact descent covers: below 3000 exactly the 15
+    idoneal n = 2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462.
+    The scan stops at the first non-diagonal reduced form.
+    """
+    return (
+        n > 0
+        and n % 2 == 0
+        and (n // 2) % 2 == 1
+        and arith.is_squarefree(n // 2)
+        and all(F.b == 0 for F in qforms.iter_reduced_forms(-4 * n))
+    )
 
 
 def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
-    """The modulus with K(k')/K(k) = sqrt(n); exact descent where available.
+    """The modulus with K(k')/K(k) = sqrt(n); exact where n is convenient.
 
-    For n = 2 mod 4 with n/2 squarefree the full chain runs: exact g^12 from
-    the unit-product for g_n, subgroup splits, the a, b, c, d quartet, exact
-    root verification, and reduction of the four factors to fundamental units.
-    n = 3 and n = 7 use their closed forms; other n are solved numerically.
+    n = 3 and n = 7 use their closed forms.  For the convenient n (see
+    `is_convenient`) the full chain runs: exact g^12 from the unit product
+    for g_n, subgroup splits, the a, b, c, d quartet, exact root verification,
+    and reduction of the four factors to fundamental units.  There k_numeric
+    is -1/x2, where x2 = -1/k is minus the product of the four sum factors
+    sqrt(X) + sqrt(X - 1): a large value, not a small difference of large
+    terms.  Every other n is numeric: k from theta sums (`highprec.k_numeric`),
+    its ratio residual below 10^(10 - prec).
     """
     if n in (3, 7):
         return small_modulus(n, prec)
-    if not _pipeline_applicable(n):
+    if not is_convenient(n):
         return _numeric_modulus(n, prec)
     g_product, _ = weber.g2n(n // 2, max(prec, 60))
     g12 = (g_product**12).expand_exact()
@@ -411,13 +430,13 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     last_err: Exception | None = None
     for s1, s2 in subgroup_splits(g12):
         try:
-            x1, _, factors, witness = quartet_roots(s1, s2, ambient_primes=ambient)
+            x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=ambient)
         except NotASquareError as err:
             last_err = err
             continue
         k_product = factor_into_units(factors)
         with mp.workdps(prec + highprec.GUARD):
-            kv = x1.evalf()
+            kv = -1 / x2.evalf()
             av = kv * kv
             res = verify_ratio(av, n, prec)
         return SingularModulus(
@@ -435,9 +454,8 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
 
 
 def _numeric_modulus(n, prec: int = 50) -> SingularModulus:
-    """Numeric-only modulus through the q-series for g_n and the root formula."""
+    """Numeric-only modulus: k from theta sums, checked by the AGM ratio."""
     with mp.workdps(prec + highprec.GUARD):
-        g = highprec.gn_numeric(n, prec + highprec.GUARD)
-        k = k_from_g_numeric(g, prec)
+        k = highprec.k_numeric(n, prec)
         res = verify_ratio(k * k, n, prec)
         return SingularModulus(n, k, k * k, res)

@@ -120,13 +120,16 @@ def reduce_form(F: QuadForm) -> tuple[QuadForm, GLMatrix]:
     return cur, g
 
 
-def reduced_forms(disc: int) -> list[QuadForm]:
-    """All properly primitive reduced forms of negative discriminant, by (a, c)."""
+def iter_reduced_forms(disc: int):
+    """The properly primitive reduced forms of negative discriminant, by increasing a.
+
+    A generator, so a caller that needs only the first form of some kind can
+    stop there.
+    """
     if disc >= 0:
         raise ValueError(f"discriminant must be negative, got {disc}")
     if disc % 4 not in (0, 1):
         raise ValueError(f"discriminant must be 0 or 1 mod 4, got {disc}")
-    forms = []
     a_max = math.isqrt(-disc // 3)
     for a in range(1, a_max + 1):
         for b in range(-a, a + 1):
@@ -144,9 +147,12 @@ def reduced_forms(disc: int) -> list[QuadForm]:
                 continue
             if math.gcd(math.gcd(a, b), c) != 1:
                 continue
-            forms.append(QuadForm(a, b, c))
-    forms.sort(key=lambda F: (F.a, F.c, F.b))
-    return forms
+            yield QuadForm(a, b, c)
+
+
+def reduced_forms(disc: int) -> list[QuadForm]:
+    """All properly primitive reduced forms of negative discriminant, by (a, c)."""
+    return sorted(iter_reduced_forms(disc), key=lambda F: (F.a, F.c, F.b))
 
 
 def class_number(disc: int) -> int:

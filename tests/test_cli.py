@@ -80,6 +80,11 @@ def test_kn_exact_flag(capsys):
     assert code == 0 and json.loads(out)["exact"] is True
     code, out, _ = run(capsys, ["kn", "--n", "5", "--format", "json"])
     assert code == 0 and json.loads(out)["exact"] is False
+    # 390 = 2 * 3 * 5 * 13 has non-diagonal reduced forms of -1560
+    code, out, _ = run(capsys, ["kn", "--n", "390", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["exact"] is False and data["k_product"] is None
 
 
 def test_tables_cells(capsys):
@@ -123,8 +128,9 @@ def test_verify_dirichlet_positive(capsys):
 
 
 def test_verify_ratio_210(capsys):
-    code, out, _ = run(capsys, ["verify", "ratio", "--n", "210"])
-    assert code == 0 and out.startswith("PASS")
+    for n in ("210", "1000"):
+        code, out, _ = run(capsys, ["verify", "ratio", "--n", n])
+        assert code == 0 and out.startswith("PASS"), n
 
 
 def test_verify_grenzformel(capsys):

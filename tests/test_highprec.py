@@ -41,6 +41,30 @@ def test_agm_self_consistency():
         assert abs(a - b) < mp.mpf("1e-38")
 
 
+def test_k_numeric_closed_forms():
+    with mp.workdps(70):
+        closed = {
+            1: 1 / mp.sqrt(2),
+            2: mp.sqrt(2) - 1,
+            3: (mp.sqrt(6) - mp.sqrt(2)) / 4,
+            4: (mp.sqrt(2) - 1) ** 2,
+        }
+        for n, k in closed.items():
+            assert abs(hp.k_numeric(n, 60) - k) < mp.mpf("1e-60") * k, n
+    with pytest.raises(ValueError):
+        hp.k_numeric(0)
+
+
+def test_verify_ratio_value_for_tiny_alpha():
+    # alpha = k_1000^2 ~ 1.1e-42: 1 - (1 - alpha) at 62 digits keeps 20 of its digits
+    with mp.workdps(70):
+        k = hp.k_numeric(1000, 60)
+        assert abs(hp.verify_ratio_value(k * k, 50) - mp.sqrt(1000)) < mp.mpf("1e-45")
+    for alpha in (0, 1, -0.5):
+        with pytest.raises(ValueError):
+            hp.verify_ratio_value(alpha)
+
+
 def test_F_series():
     with mp.workdps(45):
         val, bound = hp.F_series(0, 40)

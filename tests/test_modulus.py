@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singmod import arith, highprec, modulus, pell
+from singmod import arith, highprec, modulus, pell, qforms
 from singmod.surd import NotASquareError, SurdElement, UnitProduct, exact_sqrt, field_norm, parse_surd
 
 K210_FACTORS = {
@@ -46,6 +46,11 @@ def test_k_from_g_numeric():
             kv = modulus.k_from_g_numeric(gv, 40)
             assert abs((1 / kv - kv) - 2 * gv**12) < mp.mpf("1e-32")
         assert modulus.k_from_g_numeric(1.5, 40) > modulus.k_from_g_numeric(1.6, 40)
+        # at G = g^12 ~ 1e32 the form g^6 (sqrt(G + 1/G) - g^6) cancels every
+        # digit (relative error 2.88); the theta-sum k is the independent value
+        k2256 = modulus.k_from_g_numeric(highprec.gn_numeric(2256, 40), 40)
+        exact = highprec.k_numeric(2256, 40)
+        assert abs(k2256 - exact) < mp.mpf("1e-35") * exact
 
 
 def test_split_even_odd():
@@ -299,6 +304,54 @@ def test_numeric_modulus_fallback():
         assert abs(one.alpha_numeric - mp.mpf(1) / 2) < mp.mpf("1e-30")
         four = modulus.singular_modulus(4, 35)
         assert abs(four.k_numeric - (mp.sqrt(2) - 1) ** 2) < mp.mpf("1e-30")
+    for n in (0, -6):
+        with pytest.raises(ValueError, match="n > 0"):
+            modulus.singular_modulus(n)
+
+
+def _assert_numeric_answer(sm, n, prec):
+    # the program's residual, and an independent mpmath AGM ratio at prec + 20
+    tol = mp.mpf(10) ** (10 - prec)
+    assert abs(sm.ratio_residual) < tol, (n, prec)
+    with mp.workdps(prec + 20):
+        k = mp.mpf(sm.k_numeric)
+        kp = mp.sqrt((1 - k) * (1 + k))
+        assert abs(mp.agm(1, kp) / mp.agm(1, k) - mp.sqrt(n)) < tol, (n, prec)
+
+
+def test_singular_modulus_sweep_reaches_the_precision():
+    for n in range(1, 3001):
+        sm = modulus.singular_modulus(n, 50)
+        # n = 390, 510, ..., 2310 are 2 * (odd squarefree) with non-diagonal
+        # reduced forms of -4n: they must take the numeric path, not g2n
+        assert (sm.witness is not None) == (n in CONVENIENT), n
+        _assert_numeric_answer(sm, n, 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=20, max_value=200))
+@example(2256, 50)
+@example(10**6, 200)
+def test_singular_modulus_reaches_any_precision(n, prec):
+    _assert_numeric_answer(modulus.singular_modulus(n, prec), n, prec)
+
+
+def test_convenience_test_picks_the_fifteen():
+    assert tuple(n for n in range(1, 3001) if modulus.is_convenient(n)) == CONVENIENT
+    for n in range(2, 3001, 4):
+        if arith.is_squarefree(n // 2):
+            diagonal = all(F.b == 0 for F in qforms.reduced_forms(-4 * n))
+            assert modulus.is_convenient(n) == diagonal, n
+
+
+def test_descent_k_numeric_keeps_every_digit():
+    # k_numeric = -1/x2 has no cancelling terms, so it keeps the working
+    # precision; x1.evalf() would lose 27 digits at n = 462
+    for n in CONVENIENT:
+        sm = modulus.singular_modulus(n, 50)
+        with mp.workdps(200):
+            exact = sm.k_surd.evalf()
+            assert abs(sm.k_numeric - exact) < mp.mpf("1e-60") * exact, n
 
 
 def test_verify_ratio_trivia():

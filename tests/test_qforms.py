@@ -238,6 +238,20 @@ def test_homologue_pairs_rejects_non_diagonal():
         qforms.homologue_pairs(qforms.reduced_forms(-136))
 
 
+def test_iter_reduced_forms_is_lazy_and_complete():
+    for disc in range(-3, -2000, -1):
+        if disc % 4 in (0, 1):
+            forms = list(qforms.iter_reduced_forms(disc))
+            assert [F.a for F in forms] == sorted(F.a for F in forms), disc
+            assert sorted(forms, key=lambda F: (F.a, F.c, F.b)) == qforms.reduced_forms(disc), disc
+    # a caller stops at the first form it needs; the rest are not yet built
+    it = qforms.iter_reduced_forms(-23)
+    assert next(F for F in it if F.b) == QuadForm(1, 1, 6)
+    assert list(it) == [QuadForm(2, -1, 3), QuadForm(2, 1, 3)]
+    with pytest.raises(ValueError):
+        next(qforms.iter_reduced_forms(-6))
+
+
 def test_chi_golden():
     assert qforms.chi(-3, QuadForm(2, 0, 105)) == -1
     assert qforms.chi(105, QuadForm(14, 0, 15)) == -1
