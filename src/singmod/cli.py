@@ -257,16 +257,30 @@ def cmd_verify(args) -> int:
     return code
 
 
+def _positive_int(text: str) -> int:
+    """A precision in decimal digits: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_prec = int(os.environ.get("SINGMOD_PREC", "50"))
     parser = argparse.ArgumentParser(
         prog="singmod",
         description="singular moduli, Weber invariants and their verifications",
     )
+    try:
+        default_prec = _positive_int(os.environ.get("SINGMOD_PREC", "50"))
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"SINGMOD_PREC: {err}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, prec=default_prec):
-        p.add_argument("--prec", type=int, default=prec, help="working precision, decimal digits")
+        p.add_argument("--prec", type=_positive_int, default=prec, help="working precision, decimal digits")
         p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
 
     p_forms = sub.add_parser("forms", help="reduced forms and class number")

@@ -1,19 +1,23 @@
 """From g_n to the singular modulus k_n, numerically and as exact unit products.
 
-The quadratic 1/k - k = 2 g^12 is solved by splitting the exact expansion of
-g^12 into halves S1 + S2 carried by an index-2 radicand subgroup, recovering
-the quartet a, b, c, d with
+The quadratic 1/k - k = 2 g^12 is solved by one chain of exact steps, with no
+search.  The exact expansion of g^12 splits by radicand parity into S1 + S2
+(S1 holds the rational part and the odd radicands), and the quartet a, b, c, d
+follows from
 
+    alpha*beta = S1^2,  (alpha+1)(beta-1) = S2^2,
     sqrt(alpha) = sqrt(ab) + sqrt((a+1)(b-1)),
     sqrt(beta)  = sqrt(cd) + sqrt((c-1)(d-1)),
-    alpha*beta = S1^2,  (alpha+1)(beta-1) = S2^2,
 
-and assembling the root in (0, 1) as
+where the halves of each root are the cosets {r0, r3} | {r1, r2} of its sorted
+radicands (one term each for two terms, one half alone for one term) and the
+larger half is the product side.  The root in (0, 1) is
 
     k = (sqrt(a+1) - sqrt(a))(sqrt(b) - sqrt(b-1))(sqrt(c) - sqrt(c-1))(sqrt(d) - sqrt(d-1)).
 
 Every intermediate square root is an exact surd, so the defining equation is
-verified by exact arithmetic.  Each difference factor is then rewritten as a
+verified by exact arithmetic, and a step that has no exact root raises
+NotASquareError at once.  Each difference factor is then rewritten as a
 product of fundamental quadratic units: its log embedding, Walsh-Hadamard
 transformed over the quadratic subfields of its field and divided by the log
 of each subfield's Pell unit, gives the exponents, and the product is rebuilt
@@ -25,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import mpmath as mp
 
@@ -52,62 +55,37 @@ def k_from_g_numeric(g, prec: int = 50):
         return 1 / (G + mp.sqrt(G * G + 1))
 
 
-def split_even_odd(g12: SurdElement) -> tuple[SurdElement, SurdElement]:
-    """Split by radicand parity; the rational part joins the odd side."""
-    odd = {d: c for d, c in g12.terms.items() if d % 2 == 1}
-    even = {d: c for d, c in g12.terms.items() if d % 2 == 0}
-    return SurdElement(odd), SurdElement(even)
+def subgroup_splits(g12: SurdElement) -> tuple[SurdElement, SurdElement]:
+    """The radicand-parity split (S1, S2) of g12, the one split the descent uses.
 
-
-def subgroup_splits(g12: SurdElement) -> list[tuple[SurdElement, SurdElement]]:
-    """Bipartitions of g12 along index-<=2 subgroups of its radicand group.
-
-    A workable split keeps S1 (with the rational part) on a subgroup H and S2
-    on the complementary coset, so S1^2, S2^2 and the alpha, beta they define
-    all live in Q(H).  The radicand-parity split comes first when it is one of
-    the candidates.
+    S1 holds the rational part and the odd radicands, S2 the even ones.  The
+    odd radicands form a subgroup of index <= 2 and S2 lies on its coset, so
+    S1^2, S2^2 and the alpha, beta they define all live in Q(S1's radicands).
     """
-    primes = set()
-    for d in g12.radicands:
-        primes.update(arith.factorize(d))
-    primes = sorted(primes)
-    masks = {}
-    for d in g12.radicands:
-        m = 0
-        for i, p in enumerate(primes):
-            if d % p == 0:
-                m |= 1 << i
-        masks[d] = m
-    seen = set()
-    candidates = []
-    for functional in range(1 << len(primes)):
-        keep = frozenset(d for d in g12.radicands if bin(masks[d] & functional).count("1") % 2 == 0)
-        if keep in seen or 1 not in keep:
-            continue
-        seen.add(keep)
-        s1 = SurdElement({d: c for d, c in g12.terms.items() if d in keep})
-        candidates.append((s1, g12 - s1))
-    parity = split_even_odd(g12)
-    candidates.sort(key=lambda pair: (pair[0] != parity[0], sorted(pair[0].radicands)))
-    return candidates
+    s1 = SurdElement({d: c for d, c in g12.terms.items() if d % 2 == 1})
+    return s1, g12 - s1
 
 
-def solve_pair_product(p: SurdElement, q: SurdElement, **sqrt_opts) -> tuple[SurdElement, SurdElement]:
+def solve_pair_product(
+    p: SurdElement, q: SurdElement, ambient_primes=None
+) -> tuple[SurdElement, SurdElement]:
     """Solve uv = p, (u+1)(v-1) = q exactly, or NotASquareError.
 
     u - v = p - q - 1 is forced, and u is taken as the positive root of the
     quadratic, so u >= v whenever q <= p - 1.
     """
     diff = p - q - 1  # u - v
-    root = exact_sqrt(diff * diff + 4 * p, **sqrt_opts)
+    root = exact_sqrt(diff * diff + 4 * p, ambient_primes=ambient_primes)
     u = (diff + root) / 2
     return u, u - diff
 
 
-def solve_pair_product_sym(p: SurdElement, q: SurdElement, **sqrt_opts) -> tuple[SurdElement, SurdElement]:
+def solve_pair_product_sym(
+    p: SurdElement, q: SurdElement, ambient_primes=None
+) -> tuple[SurdElement, SurdElement]:
     """Solve uv = p, (u-1)(v-1) = q with u the larger member; exact or NotASquareError."""
     total = p - q + 1  # u + v
-    root = exact_sqrt(total * total - 4 * p, **sqrt_opts)
+    root = exact_sqrt(total * total - 4 * p, ambient_primes=ambient_primes)
     u = (total + root) / 2
     return u, total - u
 
@@ -147,61 +125,38 @@ class DescentWitness:
         return True
 
 
-def _term_bipartitions(x: SurdElement):
-    """Unordered bipartitions (T1, T2) of x's terms, most balanced first.
-
-    T2 may be empty (the degenerate v = 1 case comes last); even bipartitions
-    are deduplicated by pinning the smallest radicand into T2's complement.
-    """
-    rads = sorted(x.radicands)
-    out = []
-    for r in range(len(rads) // 2, -1, -1):
-        for combo in combinations(rads, r):
-            if 2 * r == len(rads) and rads[0] in combo:
-                continue
-            t2 = SurdElement({d: x.coefficient(d) for d in combo})
-            t1 = x - t2
-            if t1.is_zero():
-                continue
-            out.append((t1, t2))
-    return out
-
-
-def _quartet(root: SurdElement, shifted_up: bool, sqrt_opts):
+def _quartet(root: SurdElement, shifted_up: bool, ambient_primes):
     """Split sqrt(alpha) (or sqrt(beta)) into two halves and solve the pair.
 
-    Returns (minus1, minus2, plus1, plus2, u, v) where minus/plus are the
-    difference and sum factors sqrt(X) -+ sqrt(X - 1) built from the solved
-    pair; tries every bipartition, larger half taken as the plain product side
-    first.
+    With root's radicands sorted, the halves are T1 = rads[:1] + rads[3:] and
+    T2 the rest: {r0, r3} | {r1, r2} for four terms, the cosets of
+    <sqrt(r0 r3)>, whose field holds the pair; one term each for two terms;
+    T1 = root and T2 = 0 for one.  Any other term count raises
+    NotASquareError.  The larger half, by exact sign, is the plain product
+    side.  Returns (minus1, minus2, plus1, plus2, u, v) where minus/plus are
+    the difference and sum factors sqrt(X) -+ sqrt(X - 1) built from the
+    solved pair.
     """
-    last_err = None
-    for t1, t2 in _term_bipartitions(root):
-        if t2.is_zero():
-            halves = ((t1, t2),)
-        elif t1.evalf(40) >= t2.evalf(40):
-            halves = ((t1, t2), (t2, t1))
-        else:
-            halves = ((t2, t1), (t1, t2))
-        for big, small in halves:
-            try:
-                p, q = big * big, small * small
-                if shifted_up:
-                    u, v = solve_pair_product(p, q, **sqrt_opts)
-                else:
-                    u, v = solve_pair_product_sym(p, q, **sqrt_opts)
-                if (u - v).sign() < 0 or (v - 1).sign() < 0:
-                    raise NotASquareError("pair solution out of order")
-                ru = exact_sqrt(u, **sqrt_opts)
-                ru1 = exact_sqrt(u + 1 if shifted_up else u - 1, **sqrt_opts)
-                rv = exact_sqrt(v, **sqrt_opts)
-                rv1 = exact_sqrt(v - 1, **sqrt_opts)
-                if shifted_up:
-                    return ru1 - ru, rv - rv1, ru1 + ru, rv + rv1, u, v
-                return ru - ru1, rv - rv1, ru + ru1, rv + rv1, u, v
-            except NotASquareError as err:
-                last_err = err
-    raise last_err or NotASquareError(f"no workable bipartition of {root}")
+    rads = sorted(root.radicands)
+    if len(rads) not in (1, 2, 4):
+        raise NotASquareError(f"no halves rule for the {len(rads)} terms of {root}")
+    t1 = SurdElement({d: root.coefficient(d) for d in rads[:1] + rads[3:]})
+    t2 = root - t1
+    big, small = (t1, t2) if (t1 - t2).sign() >= 0 else (t2, t1)
+    p, q = big * big, small * small
+    if shifted_up:
+        u, v = solve_pair_product(p, q, ambient_primes)
+    else:
+        u, v = solve_pair_product_sym(p, q, ambient_primes)
+    if (u - v).sign() < 0 or (v - 1).sign() < 0:
+        raise NotASquareError("pair solution out of order")
+    ru = exact_sqrt(u, ambient_primes=ambient_primes)
+    ru1 = exact_sqrt(u + 1 if shifted_up else u - 1, ambient_primes=ambient_primes)
+    rv = exact_sqrt(v, ambient_primes=ambient_primes)
+    rv1 = exact_sqrt(v - 1, ambient_primes=ambient_primes)
+    if shifted_up:
+        return ru1 - ru, rv - rv1, ru1 + ru, rv + rv1, u, v
+    return ru - ru1, rv - rv1, ru + ru1, rv + rv1, u, v
 
 
 def quartet_roots(s1: SurdElement, s2: SurdElement, ambient_primes=None):
@@ -212,13 +167,11 @@ def quartet_roots(s1: SurdElement, s2: SurdElement, ambient_primes=None):
     product, witness the recovered intermediates.  The defining quadratic is
     checked exactly before returning.
     """
-    sqrt_opts = {"ambient_primes": ambient_primes}
-    p, q = s1 * s1, s2 * s2
-    alpha, beta = solve_pair_product(p, q, **sqrt_opts)
-    root_alpha = exact_sqrt(alpha, **sqrt_opts)
-    root_beta = exact_sqrt(beta, **sqrt_opts)
-    f1, f2, p1, p2, a, b = _quartet(root_alpha, True, sqrt_opts)
-    f3, f4, p3, p4, c, d = _quartet(root_beta, False, sqrt_opts)
+    alpha, beta = solve_pair_product(s1 * s1, s2 * s2, ambient_primes)
+    root_alpha = exact_sqrt(alpha, ambient_primes=ambient_primes)
+    root_beta = exact_sqrt(beta, ambient_primes=ambient_primes)
+    f1, f2, p1, p2, a, b = _quartet(root_alpha, True, ambient_primes)
+    f3, f4, p3, p4, c, d = _quartet(root_beta, False, ambient_primes)
     x1 = f1 * f2 * f3 * f4
     x2 = -(p1 * p2 * p3 * p4)
     if x1 * x2 != SurdElement(-1):
@@ -236,15 +189,14 @@ def alpha_from_unit_pair(u: SurdElement, v: SurdElement, ambient_primes=None) ->
     W = sqrt(U^2 + V^2 - 1), 2S = U + V + W + 1, and alpha is the product of
     (sqrt(S - X) - sqrt(S - X - 1))^2 over X in {0, U, V, W}.  All roots exact.
     """
-    sqrt_opts = {"ambient_primes": ambient_primes}
     U = (u * u + (u * u).inverse()) / 2
     V = (v * v + (v * v).inverse()) / 2
-    W = exact_sqrt(U * U + V * V - 1, **sqrt_opts)
+    W = exact_sqrt(U * U + V * V - 1, ambient_primes=ambient_primes)
     S = (U + V + W + 1) / 2
     pieces = []
     for X in (SurdElement(0), U, V, W):
-        hi = exact_sqrt(S - X, **sqrt_opts)
-        lo = exact_sqrt(S - X - 1, **sqrt_opts)
+        hi = exact_sqrt(S - X, ambient_primes=ambient_primes)
+        lo = exact_sqrt(S - X - 1, ambient_primes=ambient_primes)
         pieces.append(hi - lo)
     alpha = SurdElement(1)
     for f in pieces:
@@ -412,45 +364,42 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     """The modulus with K(k')/K(k) = sqrt(n); exact where n is convenient.
 
     n = 3 and n = 7 use their closed forms.  For the convenient n (see
-    `is_convenient`) the full chain runs: exact g^12 from the unit product
-    for g_n, subgroup splits, the a, b, c, d quartet, exact root verification,
-    and reduction of the four factors to fundamental units.  There k_numeric
+    `is_convenient`) the full chain runs once, with no retry: exact g^12 from
+    the unit product for g_n, its radicand-parity split (`subgroup_splits`),
+    the a, b, c, d quartet with the halves rule of `_quartet`, exact root
+    verification, and reduction of the four factors to fundamental units;
+    NotASquareError is raised if any exact root is missing.  There k_numeric
     is -1/x2, where x2 = -1/k is minus the product of the four sum factors
     sqrt(X) + sqrt(X - 1): a large value, not a small difference of large
     terms.  Every other n is numeric: k from theta sums (`highprec.k_numeric`),
-    its ratio residual below 10^(10 - prec).
+    its ratio residual below 10^(10 - prec).  ValueError for prec < 1.
     """
+    if prec < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {prec}")
     if n in (3, 7):
         return small_modulus(n, prec)
     if not is_convenient(n):
         return _numeric_modulus(n, prec)
     g_product, _ = weber.g2n(n // 2, max(prec, 60))
     g12 = (g_product**12).expand_exact()
-    ambient = tuple(arith.factorize(2 * n))
-    last_err: Exception | None = None
-    for s1, s2 in subgroup_splits(g12):
-        try:
-            x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=ambient)
-        except NotASquareError as err:
-            last_err = err
-            continue
-        k_product = factor_into_units(factors)
-        with mp.workdps(prec + highprec.GUARD):
-            kv = -1 / x2.evalf()
-            av = kv * kv
-            res = verify_ratio(av, n, prec)
-        return SingularModulus(
-            n,
-            kv,
-            av,
-            res,
-            k_surd=x1,
-            k_product=k_product,
-            g_product=g_product,
-            witness=witness,
-            simplified=True,
-        )
-    raise last_err or NotASquareError(f"no split of g^12 worked for n = {n}")
+    s1, s2 = subgroup_splits(g12)
+    x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=tuple(arith.factorize(2 * n)))
+    k_product = factor_into_units(factors)
+    with mp.workdps(prec + highprec.GUARD):
+        kv = -1 / x2.evalf()
+        av = kv * kv
+        res = verify_ratio(av, n, prec)
+    return SingularModulus(
+        n,
+        kv,
+        av,
+        res,
+        k_surd=x1,
+        k_product=k_product,
+        g_product=g_product,
+        witness=witness,
+        simplified=True,
+    )
 
 
 def _numeric_modulus(n, prec: int = 50) -> SingularModulus:

@@ -168,3 +168,29 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.modulus, "singular_modulus", boom)
     code, _, err = run(capsys, ["kn", "--n", "30"])
     assert code == 3 and "stub" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kn", "--n", "30", "--prec", "-30"],
+        ["kn", "--n", "30", "--prec", "0"],
+        ["verify", "ratio", "--n", "30", "--prec", "-20"],
+        ["jpoly", "--disc", "-4", "--prec", "x"],
+    ],
+)
+def test_precision_below_one_is_a_usage_error(capsys, argv):
+    # exit 1 means "residual above tolerance"; a bad precision is exit 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_env_var_precision_is_checked(monkeypatch, capsys, value):
+    monkeypatch.setenv("SINGMOD_PREC", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kn", "--n", "30"])
+    assert exc.value.code == 2
+    assert "SINGMOD_PREC" in capsys.readouterr().err

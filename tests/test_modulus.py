@@ -53,24 +53,24 @@ def test_k_from_g_numeric():
         assert abs(k2256 - exact) < mp.mpf("1e-35") * exact
 
 
-def test_split_even_odd():
+def test_split_even_odd(k30):
     g12 = parse_surd(
         "120134025 + 53725540*sqrt(5) + 26215380*sqrt(21) + 11723880*sqrt(105)"
         "+ 49044510*sqrt(6) + 32107152*sqrt(14) + 21933360*sqrt(30) + 14358762*sqrt(70)"
     )
-    odd, even = modulus.split_even_odd(g12)
+    odd, even = modulus.subgroup_splits(g12)
     assert set(odd.radicands) == {1, 5, 21, 105}
     assert set(even.radicands) == {6, 14, 30, 70}
     assert odd + even == g12
-    ranum, zero = modulus.split_even_odd(SurdElement(7))
+    ranum, zero = modulus.subgroup_splits(SurdElement(7))
     assert ranum == SurdElement(7) and zero.is_zero()
-    # the parity rule on the 30-invariant (the workable split there is found
-    # by the subgroup search, not by parity)
-    odd30, even30 = modulus.split_even_odd(
+    # the parity rule on the 30-invariant: this is the split of k_30's witness
+    odd30, even30 = modulus.subgroup_splits(
         parse_surd("171 + 54*sqrt(10) + 76*sqrt(5) + 120*sqrt(2)")
     )
     assert odd30 == parse_surd("171 + 76*sqrt(5)")
     assert even30 == parse_surd("54*sqrt(10) + 120*sqrt(2)")
+    assert (odd30, even30) == (k30.witness.s1, k30.witness.s2)
 
 
 def test_solve_pair_product_golden():
@@ -126,6 +126,130 @@ def test_witness_verifies_for_every_convenient_n():
         assert w.verify(), n
         assert not dataclasses.replace(w, a=w.a + 1).verify(), n
         assert not dataclasses.replace(w, d=w.d + 1).verify(), n
+
+
+# str(k_product) and the witness a, b, c, d of every convenient n, pinned from
+# the descent as it stood before the split and the halves were fixed by rule
+DESCENT_PINS = {
+    2: ("(sqrt(2) - 1)", ("1", "1", "1", "1")),
+    6: ("(2 - sqrt(3)) * (sqrt(3) - sqrt(2))", ("3", "1", "3", "1")),
+    10: ("(sqrt(10) - 3) * (3 - 2*sqrt(2))", ("9", "9", "1", "1")),
+    22: ("(10 - 3*sqrt(11)) * (3*sqrt(11) - 7*sqrt(2))", ("99", "1", "99", "1")),
+    30: (
+        "(5 - 2*sqrt(6)) * (sqrt(6) - sqrt(5)) * (4 - sqrt(15)) * (2 - sqrt(3))",
+        ("24", "6", "16", "4"),
+    ),
+    42: (
+        "(8 - 3*sqrt(7)) * (7 - 4*sqrt(3)) * (3 - 2*sqrt(2)) * (sqrt(7) - sqrt(6))",
+        ("63", "49", "9", "7"),
+    ),
+    58: ("(13*sqrt(58) - 99) * (99 - 70*sqrt(2))", ("9801", "9801", "1", "1")),
+    70: (
+        "(15 - 4*sqrt(14)) * (3*sqrt(14) - 5*sqrt(5)) * (8 - 3*sqrt(7)) * (6 - sqrt(35))",
+        ("224", "126", "64", "36"),
+    ),
+    78: (
+        "(26 - 15*sqrt(3)) * (25 - 4*sqrt(39)) * (3*sqrt(3) - sqrt(26)) * (5 - 2*sqrt(6))",
+        ("675", "625", "27", "25"),
+    ),
+    102: (
+        "(50 - 7*sqrt(51)) * (7 - 4*sqrt(3)) * (49 - 20*sqrt(6)) * (sqrt(51) - 5*sqrt(2))",
+        ("2499", "49", "2401", "51"),
+    ),
+    130: (
+        "(sqrt(2) - 1)^4 * (5*sqrt(130) - 57) * (sqrt(10) - 3)^2 * (sqrt(26) - 5)^2",
+        ("1874961 + 232560*sqrt(65)", "1874961 + 232560*sqrt(65)", "1", "1"),
+    ),
+    190: (
+        "(170 - 39*sqrt(19)) * (39 - 4*sqrt(95)) * (37*sqrt(19) - 51*sqrt(10)) * (37 - 6*sqrt(38))",
+        ("28899", "1521", "26011", "1369"),
+    ),
+    210: (
+        "(4 - sqrt(15))^2 * (8 - 3*sqrt(7)) * (2 - sqrt(3)) * (6 - sqrt(35)) * (sqrt(10) - 3)^2"
+        " * (sqrt(7) - sqrt(6))^2 * (sqrt(2) - 1)^2 * (sqrt(15) - sqrt(14))",
+        ("121983 + 11904*sqrt(105)", "249 + 24*sqrt(105)", "121489 + 11856*sqrt(105)", "247 + 24*sqrt(105)"),
+    ),
+    330: (
+        "(2 - sqrt(3))^3 * (3*sqrt(5) - 2*sqrt(11))^2 * (4 - sqrt(15)) * (10 - 3*sqrt(11)) * (sqrt(10) - 3)^2"
+        " * (sqrt(33) - 4*sqrt(2))^2 * (sqrt(2) - 1)^2 * (sqrt(55) - 3*sqrt(6))",
+        ("10700595 + 833040*sqrt(165)", "3085 + 240*sqrt(165)", "3045865 + 237120*sqrt(165)", "927 + 72*sqrt(165)"),
+    ),
+    462: (
+        "(2*sqrt(2) - sqrt(7))^2 * (3*sqrt(11) - 7*sqrt(2))^2 * (sqrt(3) - sqrt(2))^4 * (sqrt(22) - sqrt(21))"
+        " * (8 - 3*sqrt(7))^2 * (10 - 3*sqrt(11)) * (2 - sqrt(3))^2 * (76 - 5*sqrt(231))",
+        (
+            "17425016 + 1985760*sqrt(77)",
+            "103222 + 11760*sqrt(77)",
+            "3209572 + 365760*sqrt(77)",
+            "560224 + 63840*sqrt(77)",
+        ),
+    ),
+}
+
+
+def test_descent_golden_pins():
+    assert tuple(DESCENT_PINS) == CONVENIENT
+    for n, (product, quartet) in DESCENT_PINS.items():
+        sm = modulus.singular_modulus(n, 50)
+        w = sm.witness
+        assert str(sm.k_product) == product, n
+        assert tuple(str(x) for x in (w.a, w.b, w.c, w.d)) == quartet, n
+
+
+def test_sqrt_alpha_halves_are_cosets():
+    # sqrt(alpha) = sqrt(ab) + sqrt((a+1)(b-1)); the two halves are the cosets
+    # of <sqrt(r0 r3)> among the four sorted radicands of sqrt(alpha)
+    for n, product_side, shifted_side in (
+        (210, "2076*sqrt(7) + 1419*sqrt(15)", "3168*sqrt(3) + 928*sqrt(35)"),
+        (462, "1341060 + 152824*sqrt(77)", "292635*sqrt(21) + 233448*sqrt(33)"),
+    ):
+        w = modulus.singular_modulus(n, 50).witness
+        primes = tuple(arith.factorize(2 * n))
+        assert exact_sqrt(w.a * w.b, ambient_primes=primes) == parse_surd(product_side), n
+        assert exact_sqrt((w.a + 1) * (w.b - 1), ambient_primes=primes) == parse_surd(shifted_side), n
+    # the rule covers one, two and four terms; any other count has no halves
+    with pytest.raises(NotASquareError, match="3 terms"):
+        modulus._quartet(parse_surd("sqrt(3) + sqrt(5) + sqrt(7)"), True, None)
+
+
+def test_k_surd_matches_the_exact_root_of_the_quadratic():
+    # 1/k - k = 2G has the root k = sqrt(G^2 + 1) - G in (0, 1): one exact
+    # denesting, independent of the split, the quartet and the unit factoring
+    for n in CONVENIENT:
+        sm = modulus.singular_modulus(n, 50)
+        G = (sm.g_product**12).expand_exact()
+        primes = tuple(arith.factorize(2 * n))
+        assert sm.k_surd == exact_sqrt(G * G + 1, ambient_primes=primes) - G, n
+
+
+def test_descent_solves_once_and_raises_on_a_doctored_split(monkeypatch, k210):
+    calls = []
+    solve = modulus.quartet_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(modulus, "quartet_roots", counted)
+    for n in CONVENIENT:
+        calls.clear()
+        modulus.singular_modulus(n, 50)
+        assert len(calls) == 1, n
+
+    w = k210.witness
+    with pytest.raises(NotASquareError):
+        solve(w.s1 + 1, w.s2, ambient_primes=(2, 3, 5, 7))
+    split = modulus.subgroup_splits
+
+    def doctored(g12):
+        s1, s2 = split(g12)
+        return s1 + 1, s2
+
+    monkeypatch.setattr(modulus, "subgroup_splits", doctored)
+    calls.clear()
+    with pytest.raises(NotASquareError):
+        modulus.singular_modulus(210, 50)
+    assert len(calls) == 1
 
 
 def test_quartet_210_parity_split(k210):
@@ -307,6 +431,15 @@ def test_numeric_modulus_fallback():
     for n in (0, -6):
         with pytest.raises(ValueError, match="n > 0"):
             modulus.singular_modulus(n)
+
+
+def test_singular_modulus_rejects_precision_below_one():
+    # prec = -30 once gave k_30 = 2^-10 with a ratio residual of 0
+    for n in (3, 5, 30):
+        for prec in (0, -30):
+            with pytest.raises(ValueError, match="precision"):
+                modulus.singular_modulus(n, prec)
+    assert modulus.singular_modulus(30, 1).simplified
 
 
 def _assert_numeric_answer(sm, n, prec):
