@@ -60,7 +60,7 @@ def cmd_forms(args) -> int:
 def cmd_g2n(args) -> int:
     prec = args.prec
     product, value = weber.g2n(args.n, prec)
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         qseries = highprec.gn_numeric(2 * args.n, prec)
         residual = value - qseries
     payload = {
@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     elif args.check == "dirichlet":
         prec = args.prec
         delta = args.delta
-        with mp.workdps(prec + highprec.GUARD):
+        with highprec.working_precision(prec):
             finite = highprec.dirichlet_l_one(delta, prec)
             K = qforms.weighted_class_number(delta)
             if delta < 0:

@@ -1,8 +1,9 @@
 """Arbitrary-precision numerics: AGM integrals, q-series, Epstein zeta values.
 
-Every public operation takes a decimal-digit precision and evaluates with
-guard digits inside an mpmath working context; returned values are accurate to
-roughly the requested number of digits.
+Every public operation takes a decimal-digit precision of at least 1 and
+evaluates with guard digits inside an mpmath working context
+(`working_precision`); returned values are accurate to roughly the requested
+number of digits.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ from . import arith
 GUARD = 12  # guard digits added to every requested precision
 
 
+def working_precision(prec: int):
+    """The context mp.workdps(prec + GUARD); ValueError for prec < 1."""
+    if prec < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {prec}")
+    return mp.workdps(prec + GUARD)
+
+
 def _to_mpf(x):
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
@@ -26,7 +34,7 @@ def _to_mpf(x):
 
 def agm(a, b, prec: int = 50):
     """Arithmetic-geometric mean of nonnegative a, b."""
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         x, y = _to_mpf(a), _to_mpf(b)
         if x < 0 or y < 0:
             raise ValueError("agm needs nonnegative arguments")
@@ -35,7 +43,7 @@ def agm(a, b, prec: int = 50):
 
 def ell_K(k, prec: int = 50):
     """Complete elliptic integral K(k) = pi / (2 agm(1, sqrt(1 - k^2)))."""
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         k = _to_mpf(k)
         if not 0 <= k < 1:
             raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
@@ -47,7 +55,7 @@ def F_series(alpha, prec: int = 50, max_terms: int = 10**6):
 
     Returns (partial_sum, tail_bound).  The sum equals (2/pi) K(sqrt(alpha)).
     """
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         a = _to_mpf(alpha)
         if not 0 <= a < 1:
             raise ValueError(f"series needs 0 <= alpha < 1, got {a}")
@@ -71,7 +79,7 @@ def verify_ratio_value(alpha, prec: int = 50):
     The two square roots are taken straight from alpha and 1 - alpha, so
     neither complement is formed by cancellation.
     """
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         a = _to_mpf(alpha)
         if not 0 < a < 1:
             raise ValueError(f"ratio needs 0 < alpha < 1, got {a}")
@@ -80,7 +88,7 @@ def verify_ratio_value(alpha, prec: int = 50):
 
 def gn_numeric(n, prec: int = 50):
     """Ramanujan's invariant g_n = 2^(-1/4) e^(pi sqrt(n)/24) prod(1 - e^(-(2k-1) pi sqrt(n)))."""
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         x = _to_mpf(n)
         if x <= 0:
             raise ValueError("g_n needs n > 0")
@@ -99,7 +107,7 @@ def gn_numeric(n, prec: int = 50):
 
 def eta(omega, prec: int = 50):
     """Dedekind eta(omega) = e^(pi i omega / 12) prod(1 - e^(2 pi i n omega))."""
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         w = mp.mpc(omega)
         if mp.im(w) <= 0:
             raise ValueError("eta needs Im(omega) > 0")
@@ -146,7 +154,7 @@ def j_invariant(tau, prec: int = 50):
     With q = e^(pi i tau) and the sums of `_theta_sums`, theta2^8 = 256 q^2 s2^8.
     On the imaginary axis q is real.
     """
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         t = mp.mpc(tau)
         if mp.im(t) <= 0:
             raise ValueError("j needs Im(tau) > 0")
@@ -162,7 +170,7 @@ def k_numeric(n, prec: int = 50):
     One exponential and a few terms of `_theta_sums`; every term is positive,
     so no digit is lost to cancellation, however small k_n is.
     """
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         x = _to_mpf(n)
         if x <= 0:
             raise ValueError("k_n needs n > 0")
@@ -180,7 +188,7 @@ def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:
     from . import qforms
 
     forms = qforms.reduced_forms(disc)
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         root = mp.sqrt(-disc)
         jvals = []
         for F in forms:
@@ -218,7 +226,7 @@ def dirichlet_l_one(delta: int, prec: int = 50):
     """
     if not arith.is_fundamental_discriminant(delta) or delta == 1:
         raise ValueError(f"need a fundamental discriminant != 1, got {delta}")
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         if delta < 0:
             q = -delta
             S = sum(arith.kronecker(delta, a) * (q - 2 * a) for a in range(1, q))
@@ -253,30 +261,47 @@ def _lattice_values(A: int, B: int, C: int, bound) -> Counter:
     return counts
 
 
+def _term_bits(x: float, bits: int) -> int:
+    """Working bits for a lattice term of size about e^(-x) in a sum kept to `bits`.
+
+    The term needs bits + 16 - floor(x / ln 2) bits.  The cap at `bits` keeps
+    the leading terms at the sum's own precision (more would move the last
+    bits of the sum), and the floor of 24 keeps mpmath's E1 and incomplete
+    gamma accurate for the smallest terms.
+    """
+    return max(min(bits, bits + 16 - int(x / math.log(2))), 24)
+
+
 def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
     """Analytic continuation of sum' Q(x,y)^(-s) for the Gauss form (A, B, C).
 
     Uses the symmetric incomplete-gamma representation split at the self-dual
     point c = pi/sqrt(m); valid for real s != 1 (and s != 0).  The form and its
     dual represent the same values equally often, so each represented value Q
-    is evaluated once and weighted by its count of lattice points.
+    is evaluated once and weighted by its count of lattice points.  Each term,
+    of size about e^(-x) at x = cQ, is evaluated at
+    max(min(bits, bits + 16 - floor(x / ln 2)), 24) bits (`_term_bits`); the
+    sum itself runs at the full working precision `bits`.
     """
     m = A * C - B * B
     if m <= 0 or A <= 0:
         raise ValueError("form must be positive definite")
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         s = _to_mpf(s)
         if s == 1:
             raise ValueError("epstein_zeta has a pole at s = 1; use epstein_constant_term")
+        bits = mp.mp.prec
         c = mp.pi / mp.sqrt(m)
-        cutoff = (mp.mp.prec + 16) * mp.log(2) / c
+        cutoff = (bits + 16) * mp.log(2) / c
         total = c**s * (1 / (s - 1) - 1 / s)
         dual = c ** (2 * s - 1)
+        cf = float(c)
         for qv, count in sorted(_lattice_values(A, B, C, cutoff).items()):
-            total += count * (
-                mp.gammainc(s, a=c * qv) * mp.power(qv, -s)
-                + dual * mp.gammainc(1 - s, a=c * qv) * mp.power(qv, s - 1)
-            )
+            with mp.workprec(_term_bits(cf * qv, bits)):
+                x = c * qv
+                term = mp.gammainc(s, a=x) * mp.power(qv, -s)
+                term += dual * mp.gammainc(1 - s, a=x) * mp.power(qv, s - 1)
+            total += count * term
         return total / mp.gamma(s)
 
 
@@ -285,23 +310,30 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
 
     c (euler + ln c - 1) + sum' [exp(-cQ)/Q + c E1(cQ)] with c = pi/sqrt(m),
     summed once per represented value Q, in increasing Q, times its count.
+    Each term, of size about e^(-x) at x = cQ, is evaluated at
+    max(min(bits, bits + 16 - floor(x / ln 2)), 24) bits (`_term_bits`); the
+    sum itself runs at the full working precision `bits`.
     """
     m = A * C - B * B
     if m <= 0 or A <= 0:
         raise ValueError("form must be positive definite")
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
+        bits = mp.mp.prec
         c = mp.pi / mp.sqrt(m)
-        cutoff = (mp.mp.prec + 16) * mp.log(2) / c
+        cutoff = (bits + 16) * mp.log(2) / c
         total = c * (mp.euler + mp.log(c) - 1)
+        cf = float(c)
         for qv, count in sorted(_lattice_values(A, B, C, cutoff).items()):
-            total += count * (mp.exp(-c * qv) / qv + c * mp.e1(c * qv))
+            with mp.workprec(_term_bits(cf * qv, bits)):
+                term = mp.exp(-c * qv) / qv + c * mp.e1(c * qv)
+            total += count * term
         return total
 
 
 def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
     """Kronecker's closed form for the Epstein constant term at s = 1."""
     m = A * C - B * B
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         rm = mp.sqrt(m)
         w1 = (B + 1j * rm) / A
         w2 = (-B + 1j * rm) / A
@@ -315,14 +347,14 @@ def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
 
 def verify_grenzformel(A: int, B: int, C: int, prec: int = 30):
     """Residual between the continued Epstein constant term and the closed form."""
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         return epstein_constant_term(A, B, C, prec) - grenzformel_rhs(A, B, C, prec)
 
 
 def verify_formula_g(A: int, C: int, prec: int = 30):
     """Residual of lim [S_(A,0,2C) - S_(2A,0,C)] = (4 pi / sqrt(m)) ln g_(m/A^2), m = 2AC."""
     m = 2 * A * C
-    with mp.workdps(prec + GUARD):
+    with working_precision(prec):
         lhs = epstein_constant_term(A, 0, 2 * C, prec) - epstein_constant_term(
             2 * A, 0, C, prec
         )

@@ -47,7 +47,7 @@ def k_from_g_numeric(g, prec: int = 50):
 
     Every term is positive, so no digit cancels however large G is.
     """
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         g = mp.mpf(g)
         if g <= 0:
             raise ValueError("g must be positive")
@@ -318,7 +318,7 @@ class SingularModulus:
 
 def verify_ratio(alpha, n, prec: int = 50):
     """Residual F(1 - alpha)/F(alpha) - sqrt(n), via AGM elliptic integrals."""
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         if isinstance(alpha, SurdElement):
             alpha = alpha.evalf()
         elif isinstance(alpha, Fraction):
@@ -337,7 +337,7 @@ def small_modulus(n: int, prec: int = 50) -> SingularModulus:
         k = SurdElement({2: Fraction(3, 8), 14: -Fraction(1, 8)})
     else:
         raise ValueError(f"no small closed form for n = {n}")
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         kv = k.evalf()
         av = kv * kv
         res = verify_ratio(av, n, prec)
@@ -385,7 +385,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     s1, s2 = subgroup_splits(g12)
     x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=tuple(arith.factorize(2 * n)))
     k_product = factor_into_units(factors)
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         kv = -1 / x2.evalf()
         av = kv * kv
         res = verify_ratio(av, n, prec)
@@ -404,7 +404,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
 
 def _numeric_modulus(n, prec: int = 50) -> SingularModulus:
     """Numeric-only modulus: k from theta sums, checked by the AGM ratio."""
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         k = highprec.k_numeric(n, prec)
         res = verify_ratio(k * k, n, prec)
         return SingularModulus(n, k, k * k, res)

@@ -103,7 +103,7 @@ def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
         sol = pell.solve_even_pell(s.pair.positive)
         eps = pell.unit_value(sol)
         product = product * UnitProduct([(eps, Fraction(s.k_product(), 2 * h))])
-    with mp.workdps(prec + highprec.GUARD):
+    with highprec.working_precision(prec):
         value = product.value()
         check = highprec.gn_numeric(m, prec)
         if abs(value - check) > abs(check) * mp.mpf(10) ** (8 - prec):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singmod import highprec as hp
-from singmod import qforms
+from singmod import modulus, qforms, weber
 
 A1_840 = -3494487845306481075093315600749304691200
 # the 100-digit constant term, cross-checked against an independent
@@ -311,17 +311,55 @@ def test_grenzformel_residual_reaches_the_precision(form):
 def test_epstein_constant_term_equals_the_pointwise_sum(form):
     A, B, C = form
     m = A * C - B * B
-    with mp.workdps(30 + hp.GUARD):
-        c = mp.pi / mp.sqrt(m)
-        cutoff = (mp.mp.prec + 16) * mp.log(2) / c
-        reach = int(mp.sqrt(2 * cutoff)) + 1  # Q >= 3 max(|x|, |y|)^2 / 4 when reduced
-        total = c * (mp.euler + mp.log(c) - 1)
-        for x in range(-reach, reach + 1):
-            for y in range(-reach, reach + 1):
-                qv = A * x * x + 2 * B * x * y + C * y * y
-                if (x or y) and qv <= cutoff:
-                    total += mp.exp(-c * qv) / qv + c * mp.e1(c * qv)
-        assert abs(hp.epstein_constant_term(A, B, C, 30) - total) < mp.mpf("1e-38")
+    # each lattice term is tapered against the working bits, so check two precisions
+    for prec in (30, 60):
+        with mp.workdps(prec + hp.GUARD):
+            c = mp.pi / mp.sqrt(m)
+            cutoff = (mp.mp.prec + 16) * mp.log(2) / c
+            reach = int(mp.sqrt(2 * cutoff)) + 1  # Q >= 3 max(|x|, |y|)^2 / 4 when reduced
+            total = c * (mp.euler + mp.log(c) - 1)
+            for x in range(-reach, reach + 1):
+                for y in range(-reach, reach + 1):
+                    qv = A * x * x + 2 * B * x * y + C * y * y
+                    if (x or y) and qv <= cutoff:
+                        total += mp.exp(-c * qv) / qv + c * mp.e1(c * qv)
+            err = abs(hp.epstein_constant_term(A, B, C, prec) - total)
+            assert err < mp.mpf(10) ** -(prec + 8), prec
+
+
+# the taper keeps each term's rounding error 16 bits below the working
+# precision, so the sum keeps its guard digits: within a few units of the last
+@pytest.mark.parametrize("prec", [50, 60, 80])
+@pytest.mark.parametrize("form", [(1, 0, 1), (1, 0, 2), (2, 1, 3)])
+def test_epstein_constant_term_keeps_its_guard_digits(form, prec):
+    with mp.workdps(prec + 60):
+        exact = hp.epstein_constant_term(*form, prec + 40)
+        err = abs(hp.epstein_constant_term(*form, prec) - exact)
+    assert err < 3 * mp.mpf(10) ** -(prec + hp.GUARD)
+
+
+@pytest.mark.parametrize("prec", [20, 50, 80])
+@pytest.mark.parametrize("form", [(1, 0, 1), (2, 1, 3), (5, 2, 7), (7, 3, 60)])
+def test_grenzformel_residual_at_each_precision(form, prec):
+    assert abs(hp.verify_grenzformel(*form, prec)) < mp.mpf(10) ** (10 - prec)
+
+
+# the Dirichlet characters mod 4 and mod 8 that factor the forms of
+# determinant 1 and 2: Z_(1,0,1) = 4 zeta beta, Z_(1,0,2) = 2 zeta L(chi_-8)
+CHI_MINUS_4 = [0, 1, 0, -1]
+CHI_MINUS_8 = [0, 1, 0, 1, 0, -1, 0, -1]
+
+
+@pytest.mark.parametrize("prec", [30, 60])
+@pytest.mark.parametrize("s", ["0.75", "1.5", "2", "3"])
+@pytest.mark.parametrize(
+    "form, weight, chi", [((1, 0, 1), 4, CHI_MINUS_4), ((1, 0, 2), 2, CHI_MINUS_8)]
+)
+def test_epstein_zeta_closed_forms(form, weight, chi, s, prec):
+    with mp.workdps(prec + hp.GUARD):
+        s = mp.mpf(s)
+        known = weight * mp.zeta(s) * mp.dirichlet(s, chi)
+        assert abs(hp.epstein_zeta(*form, s, prec) - known) < mp.mpf(10) ** (10 - prec)
 
 
 def test_fundamental_lemma_difference():
@@ -366,3 +404,35 @@ def test_class_polynomial_complex_conjugate_classes():
     # classes with b != 0 come in conjugate pairs; the product is still integral
     assert hp.class_polynomial(-23, 120) == [1, 3491750, -5151296875, 12771880859375]
     assert hp.class_polynomial(-163, 120) == [1, 262537412640768000]
+
+
+PREC_ENTRY_POINTS = {
+    "agm": lambda p: hp.agm(1, 2, p),
+    "ell_K": lambda p: hp.ell_K(mp.mpf("0.5"), p),
+    "F_series": lambda p: hp.F_series(mp.mpf("0.5"), p),
+    "verify_ratio_value": lambda p: hp.verify_ratio_value(mp.mpf("0.5"), p),
+    "gn_numeric": lambda p: hp.gn_numeric(210, p),
+    "eta": lambda p: hp.eta(1j, p),
+    "j_invariant": lambda p: hp.j_invariant(1j, p),
+    "k_numeric": lambda p: hp.k_numeric(5, p),
+    "class_polynomial": lambda p: hp.class_polynomial(-840, p),
+    "dirichlet_l_one": lambda p: hp.dirichlet_l_one(-3, p),
+    "epstein_zeta": lambda p: hp.epstein_zeta(1, 0, 1, 2, p),
+    "epstein_constant_term": lambda p: hp.epstein_constant_term(1, 0, 1, p),
+    "grenzformel_rhs": lambda p: hp.grenzformel_rhs(1, 0, 1, p),
+    "verify_grenzformel": lambda p: hp.verify_grenzformel(1, 0, 210, p),
+    "verify_formula_g": lambda p: hp.verify_formula_g(1, 105, p),
+    "weber.g2n": lambda p: weber.g2n(15, p),
+    "modulus.k_from_g_numeric": lambda p: modulus.k_from_g_numeric(2, p),
+    "modulus.verify_ratio": lambda p: modulus.verify_ratio(mp.mpf("0.5"), 1, p),
+    "modulus.small_modulus": lambda p: modulus.small_modulus(2, p),
+}
+
+
+# at prec -30 these once answered: verify_grenzformel a residual of 0.0,
+# g2n the value 1.0, k_numeric 0.0625
+@pytest.mark.parametrize("prec", [0, -30])
+@pytest.mark.parametrize("name", sorted(PREC_ENTRY_POINTS))
+def test_precision_below_one_is_rejected(name, prec):
+    with pytest.raises(ValueError, match="precision"):
+        PREC_ENTRY_POINTS[name](prec)
