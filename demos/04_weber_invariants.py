@@ -2,7 +2,7 @@
 
 g_m^(2h) = product over surviving discriminants of eps^(K(delta) K(delta')),
 with h the class number of determinant m.  The exact unit product is checked
-against the defining q-series 2^(-1/4) e^(pi sqrt(m)/24) prod(1 - e^(-(2k-1) pi sqrt(m))).
+against the theta series g_m^12 = theta4^4/(2 theta2^2 theta3^2) at q = e^(-pi sqrt(m)).
 """
 
 import mpmath as mp

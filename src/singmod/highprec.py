@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import arith
+from . import arith, qforms
 
 GUARD = 12  # guard digits added to every requested precision
 
@@ -50,7 +50,7 @@ def ell_K(k, prec: int = 50):
         return mp.pi / (2 * agm(mp.mpf(1), mp.sqrt(1 - k * k), prec))
 
 
-def F_series(alpha, prec: int = 50, max_terms: int = 10**6):
+def F_series(alpha, prec: int = 50):
     """Hypergeometric series 1 + (1/2)^2 a + (1*3/(2*4))^2 a^2 + ...
 
     Returns (partial_sum, tail_bound).  The sum equals (2/pi) K(sqrt(alpha)).
@@ -62,9 +62,7 @@ def F_series(alpha, prec: int = 50, max_terms: int = 10**6):
         eps = mp.mpf(10) ** (-(prec + GUARD // 2))
         total = mp.mpf(1)
         term = mp.mpf(1)
-        k = 0
-        while k < max_terms:
-            k += 1
+        for k in range(1, 10**6 + 1):  # the stop for alpha near 1
             term *= (mp.mpf(2 * k - 1) / (2 * k)) ** 2 * a
             total += term
             if term < eps * (1 - a):
@@ -87,39 +85,37 @@ def verify_ratio_value(alpha, prec: int = 50):
 
 
 def gn_numeric(n, prec: int = 50):
-    """Ramanujan's invariant g_n = 2^(-1/4) e^(pi sqrt(n)/24) prod(1 - e^(-(2k-1) pi sqrt(n)))."""
+    """Ramanujan's invariant g_n from g_n^12 = theta4^4/(2 theta2^2 theta3^2).
+
+    With the sums of `_theta_sums` at q = e^(-pi sqrt(n)) this is
+    g_n^12 = s4^4/(8 sqrt(q) s2^2 s3^2).  For n < 2 it returns 1/g_(4/n):
+    theta4 = 1 - 2q + ... cancels as q -> 1, while for n >= 2 q is below
+    e^(-pi sqrt(2)) and every digit of the sums is kept.
+    """
     with working_precision(prec):
         x = _to_mpf(n)
         if x <= 0:
             raise ValueError("g_n needs n > 0")
-        root = mp.sqrt(x)
-        out = mp.power(2, mp.mpf(-0.25)) * mp.exp(mp.pi * root / 24)
-        eps = mp.mpf(2) ** (-mp.mp.prec - 8)
-        k = 1
-        while True:
-            f = mp.exp(-(2 * k - 1) * mp.pi * root)
-            out *= 1 - f
-            if f < eps:
-                break
-            k += 1
-        return out
+        flip = x < 2
+        if flip:
+            x = 4 / x
+        r = mp.exp(-mp.pi * mp.sqrt(x) / 2)  # sqrt(q)
+        s2, s3, s4 = _theta_sums(r * r, mp.mp.prec)
+        g = mp.root(s4**4 / (8 * r * (s2 * s3) ** 2), 12)
+        return 1 / g if flip else g
 
 
 def eta(omega, prec: int = 50):
-    """Dedekind eta(omega) = e^(pi i omega / 12) prod(1 - e^(2 pi i n omega))."""
+    """Dedekind eta(omega) = e^(pi i omega / 12) prod(1 - e^(2 pi i n omega)).
+
+    mpmath's own `mp.eta`; real on the imaginary axis.  No library path calls
+    it: `grenzformel_rhs` takes |eta|^2 from `_theta_sums`.
+    """
     with working_precision(prec):
         w = mp.mpc(omega)
         if mp.im(w) <= 0:
             raise ValueError("eta needs Im(omega) > 0")
-        q = mp.exp(2j * mp.pi * w)
-        out = mp.exp(1j * mp.pi * w / 12)
-        qn = mp.mpc(1)
-        eps = mp.mpf(2) ** (-mp.mp.prec - 8)
-        while True:
-            qn *= q
-            out *= 1 - qn
-            if abs(qn) < eps:
-                break
+        out = mp.eta(w)
         if mp.re(w) == 0:
             return mp.re(out)
         return out
@@ -185,8 +181,6 @@ def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:
     Returns the h+1 integer coefficients, highest degree first.  Raises when
     the rounding residual exceeds 1e-10 (precision too low for this disc).
     """
-    from . import qforms
-
     forms = qforms.reduced_forms(disc)
     with working_precision(prec):
         root = mp.sqrt(-disc)
@@ -331,17 +325,26 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
 
 
 def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
-    """Kronecker's closed form for the Epstein constant term at s = 1."""
-    m = A * C - B * B
+    """Kronecker's closed form for the Epstein constant term at s = 1.
+
+    2 pi euler/sqrt(m) + (pi/sqrt(m)) ln(A/(4m)) - (2 pi/sqrt(m)) ln |eta(w)|^2
+    at w = (B + i sqrt(m))/A; the form's second root -conj(w) has the same
+    |eta|.  The constant term is a class invariant, so the form is reduced
+    first (then Im w >= sqrt(3)/2), and with q = e^(pi i w) and the sums of
+    `_theta_sums`, theta2 theta3 theta4 = 2 eta^3 gives
+    ln |eta(w)|^2 = -pi Im(w)/6 + (2/3) ln |s2 s3 s4|.
+    """
     with working_precision(prec):
+        F, _ = qforms.reduce_form(qforms.QuadForm(A, 2 * B, C))
+        A, B, m = F.a, F.b // 2, F.discriminant // -4
         rm = mp.sqrt(m)
-        w1 = (B + 1j * rm) / A
-        w2 = (-B + 1j * rm) / A
-        prod = eta(w1, prec + GUARD) * eta(w2, prec + GUARD)
+        w = (B + 1j * rm) / A
+        s2, s3, s4 = _theta_sums(mp.exp(1j * mp.pi * w), mp.mp.prec)
+        log_eta2 = -mp.pi * rm / (6 * A) + 2 * mp.log(abs(s2 * s3 * s4)) / 3
         return (
             2 * mp.pi * mp.euler / rm
             + mp.pi / rm * mp.log(mp.mpf(A) / (4 * m))
-            - 2 * mp.pi / rm * mp.log(mp.re(prod))
+            - 2 * mp.pi / rm * log_eta2
         )
 
 

@@ -191,21 +191,15 @@ class SurdElement:
 
     # -- numerics ---------------------------------------------------------
 
-    def evalf(self, dps: int | None = None):
+    def evalf(self):
         """Numeric value under the identity embedding."""
-        if dps is not None:
-            with mp.workdps(dps):
-                return self.evalf()
         total = mp.mpf(0)
         for d, c in self._terms.items():
             total += mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
         return total
 
-    def embed(self, signs: dict[int, int], dps: int | None = None):
+    def embed(self, signs: dict[int, int]):
         """Numeric value with sqrt(p) -> signs[p]*sqrt(p) for each generator prime."""
-        if dps is not None:
-            with mp.workdps(dps):
-                return self.embed(signs)
         total = mp.mpf(0)
         for d, c in self._terms.items():
             sign = 1
@@ -439,11 +433,8 @@ class UnitProduct:
         k = _as_fraction(k)
         return UnitProduct([(b, e * k) for b, e in self.factors])
 
-    def value(self, dps: int | None = None):
+    def value(self):
         """Numeric value at the identity embedding."""
-        if dps is not None:
-            with mp.workdps(dps):
-                return self.value()
         total = mp.mpf(1)
         for b, e in self.factors:
             total *= mp.power(b.evalf(), mp.mpf(e.numerator) / e.denominator)

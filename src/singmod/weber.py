@@ -90,20 +90,18 @@ def surviving_sums(m: int) -> list[SurvivingSum]:
 def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
     """Weber's invariant g_{2n} as an exact unit product and a numeric value.
 
-    The numeric value of the product is cross-checked against the q-series
-    for g_{2n}; disagreement raises ArithmeticError.
+    The numeric value of the product is cross-checked against the theta
+    series of `highprec.gn_numeric`; disagreement raises ArithmeticError.
     """
     m = 2 * n
     _check_m(m)
-    forms = qforms.reduced_forms(-4 * m)
-    qforms.homologue_pairs(forms)  # signals when m is not convenient
-    h = len(forms)
-    product = UnitProduct()
-    for s in surviving_sums(m):
-        sol = pell.solve_even_pell(s.pair.positive)
-        eps = pell.unit_value(sol)
-        product = product * UnitProduct([(eps, Fraction(s.k_product(), 2 * h))])
-    with highprec.working_precision(prec):
+    with highprec.working_precision(prec):  # rejects prec < 1 before the exact work
+        h = len(qforms.reduced_forms(-4 * m))
+        product = UnitProduct()
+        for s in surviving_sums(m):
+            sol = pell.solve_even_pell(s.pair.positive)
+            eps = pell.unit_value(sol)
+            product = product * UnitProduct([(eps, Fraction(s.k_product(), 2 * h))])
         value = product.value()
         check = highprec.gn_numeric(m, prec)
         if abs(value - check) > abs(check) * mp.mpf(10) ** (8 - prec):

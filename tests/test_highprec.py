@@ -89,6 +89,24 @@ def test_gn_numeric_golden():
         assert abs(a - b) < mp.mpf("1e-43")
 
 
+GN_POINTS = [Fraction(1, 10**k) for k in (5, 4, 3)] + [
+    Fraction(1, 2), Fraction(1), Fraction(2), Fraction(30, 7), Fraction(462), Fraction(10**6)
+]
+
+
+# theta4 = 1 - 2q + ... cancels as q -> 1, so small n must go through g_(4/n);
+# the reference is the defining product 2^(-1/4) q^(-1/24) prod(1 - q^(2k-1))
+@pytest.mark.parametrize("prec", [30, 60])
+@pytest.mark.parametrize("n", GN_POINTS, ids=str)
+def test_gn_numeric_against_the_product(n, prec):
+    with mp.workdps(200):
+        q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(n.numerator) / n.denominator))
+        ref = mp.power(2, mp.mpf(-1) / 4) * mp.power(q, mp.mpf(-1) / 24) * mp.qp(q, q * q)
+        g = hp.gn_numeric(n, prec)
+        assert abs(g / ref - 1) < mp.mpf(10) ** -prec
+        assert abs(g * hp.gn_numeric(4 / n, prec) - 1) < mp.mpf(10) ** -prec
+
+
 def test_four_log_sum_identity():
     # ln g210 + ln g(210/9) - ln g(210/25) + ln g(210/49) = (1/3) ln (5r5+3r14)^2
     with mp.workdps(50):
@@ -339,7 +357,9 @@ def test_epstein_constant_term_keeps_its_guard_digits(form, prec):
 
 
 @pytest.mark.parametrize("prec", [20, 50, 80])
-@pytest.mark.parametrize("form", [(1, 0, 1), (2, 1, 3), (5, 2, 7), (7, 3, 60)])
+@pytest.mark.parametrize(
+    "form", [(1, 0, 1), (2, 1, 3), (5, 2, 7), (7, 3, 60), (1000, 0, 1), (10000, 3, 1)]
+)
 def test_grenzformel_residual_at_each_precision(form, prec):
     assert abs(hp.verify_grenzformel(*form, prec)) < mp.mpf(10) ** (10 - prec)
 

@@ -237,3 +237,12 @@ def test_g2_degenerate():
     assert product.factors == []
     with mp.workdps(60):
         assert abs(value - 1) < mp.mpf("1e-55")
+
+
+def test_g2n_checks_the_precision_before_the_exact_work(monkeypatch):
+    def unreachable(disc):
+        raise AssertionError(f"reduced_forms({disc}) called before the precision check")
+
+    monkeypatch.setattr(qforms, "reduced_forms", unreachable)
+    with pytest.raises(ValueError, match="precision"):
+        weber.g2n(15, -30)
