@@ -30,7 +30,7 @@ print("  j(i) =", mp.nstr(highprec.j_invariant(mp.mpc(0, 1), 30), 20))
 print("  j(i sqrt(210)) =", mp.nstr(highprec.j_invariant(mp.mpc(0, mp.sqrt(210)), 30), 25))
 
 print()
-print("The degree-8 class polynomial for discriminant -840 (300-digit run):")
-coeffs = highprec.class_polynomial(-840, 300)
+print("The degree-8 class polynomial for discriminant -840 (precision sized from its height):")
+coeffs = highprec.class_polynomial(-840)
 for i, c in enumerate(coeffs):
     print(f"  x^{8 - i}: {c}")

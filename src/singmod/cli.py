@@ -174,7 +174,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_jpoly(args) -> int:
-    coeffs = highprec.class_polynomial(args.disc, args.prec)
+    coeffs = highprec.class_polynomial(args.disc)
     payload = {"discriminant": args.disc, "coefficients": [str(c) for c in coeffs]}
 
     def text(p):
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_j = sub.add_parser("jpoly", help="integer coefficients of the class polynomial")
     p_j.add_argument("--disc", type=int, default=-840)
-    add_common(p_j, 300)
+    p_j.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     p_j.set_defaults(func=cmd_jpoly)
 
     p_v = sub.add_parser("verify", help="numerical verifications with residual report")

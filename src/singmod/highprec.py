@@ -19,10 +19,14 @@ from . import arith, qforms
 GUARD = 12  # guard digits added to every requested precision
 
 
-def working_precision(prec: int):
-    """The context mp.workdps(prec + GUARD); ValueError for prec < 1."""
+def _check_precision(prec: int) -> None:
     if prec < 1:
         raise ValueError(f"precision must be at least 1 digit, got {prec}")
+
+
+def working_precision(prec: int):
+    """The context mp.workdps(prec + GUARD); ValueError for prec < 1."""
+    _check_precision(prec)
     return mp.workdps(prec + GUARD)
 
 
@@ -175,19 +179,44 @@ def k_numeric(n, prec: int = 50):
         return 4 * r * (s2 / s3) ** 2
 
 
+def _height_digits(disc: int, forms) -> int:
+    """Decimal digits of prod (1 + |j_F|) over the reduced forms F = (a, b, c) of disc.
+
+    Each |j_F| <= e^(pi sqrt|disc| / a) + 2079, so every coefficient of the
+    class polynomial is below the product.  The logs are summed, so no float
+    overflows however large |disc| is.
+    """
+    root, c = math.pi * math.sqrt(-disc), math.log(2080)
+    total = 0.0
+    for F in forms:
+        x = root / F.a  # ln(2080 + e^x), without forming e^x
+        total += max(x, c) + math.log1p(math.exp(-abs(x - c)))
+    return math.ceil(total / math.log(10))
+
+
 def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:
     """Monic minimal polynomial of j((-b + sqrt(disc))/(2a)) over the reduced forms.
 
-    Returns the h+1 integer coefficients, highest degree first.  Raises when
-    the rounding residual exceeds 1e-10 (precision too low for this disc).
+    Returns the h+1 integer coefficients, highest degree first.  The output is
+    exact integers, so every prec >= 1 is met; prec is only checked
+    (ValueError below 1).  The working precision comes from the height of the
+    polynomial: for a reduced form (a, b, c), |j| <= e^(pi sqrt|disc| / a) + 2079,
+    so every coefficient is below prod (1 + |j_F|) (Enge, "The complexity of
+    class polynomial computation via floating point approximations", Math.
+    Comp. 78 (2009); Cohen, GTM 138, 7.6).  The j values and their product run
+    at the digits of that bound plus GUARD, where one unit in the last place of
+    the largest coefficient is at most 10^-GUARD; a rounding residual above
+    1e-10 raises ArithmeticError.
     """
+    _check_precision(prec)
     forms = qforms.reduced_forms(disc)
-    with working_precision(prec):
+    digits = _height_digits(disc, forms)
+    with working_precision(digits):
         root = mp.sqrt(-disc)
         jvals = []
         for F in forms:
             tau = (-F.b + 1j * root) / (2 * F.a)
-            jvals.append(j_invariant(tau, prec))
+            jvals.append(j_invariant(tau, digits))
         coeffs = [mp.mpc(1)]
         for jv in jvals:
             nxt = [mp.mpc(0)] * (len(coeffs) + 1)
@@ -203,9 +232,7 @@ def class_polynomial(disc: int = -840, prec: int = 300) -> list[int]:
             worst = max(worst, abs(r - n), abs(mp.im(ci)))
             out.append(int(n))
         if worst > mp.mpf("1e-10"):
-            raise ArithmeticError(
-                f"class polynomial rounding residual {mp.nstr(worst, 5)}; increase precision"
-            )
+            raise ArithmeticError(f"class polynomial rounding residual {mp.nstr(worst, 5)}")
         return out
 
 

@@ -176,7 +176,7 @@ def quartet_roots(s1: SurdElement, s2: SurdElement, ambient_primes=None):
     x2 = -(p1 * p2 * p3 * p4)
     if x1 * x2 != SurdElement(-1):
         raise NotASquareError("quartet roots do not multiply to -1")
-    if x1.inverse() - x1 != 2 * (s1 + s2):
+    if -x2 - x1 != 2 * (s1 + s2):  # 1/x1 = -x2 by the check above
         raise NotASquareError("quartet root fails its defining quadratic")
     witness = DescentWitness(s1, s2, alpha, beta, a, b, c, d)
     factors = UnitProduct([(f1, 1), (f2, 1), (f3, 1), (f4, 1)])

@@ -74,8 +74,11 @@ def surviving_sums(m: int) -> list[SurvivingSum]:
     chi(delta, Q) - chi(delta, Q') = 2 chi(delta, Q) over the pair with odd A.
     """
     _check_m(m)
-    forms = qforms.reduced_forms(-4 * m)
-    pairs = qforms.homologue_pairs(forms)
+    return _survivors(m, qforms.homologue_pairs(qforms.reduced_forms(-4 * m)))
+
+
+def _survivors(m: int, pairs) -> list[SurvivingSum]:
+    """`surviving_sums` over the given homologue pairs of the reduced forms of -4m."""
     out = []
     for dp in disc_pairs(m):
         if arith.kronecker(2, dp.delta) != -1:
@@ -96,9 +99,10 @@ def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
     m = 2 * n
     _check_m(m)
     with highprec.working_precision(prec):  # rejects prec < 1 before the exact work
-        h = len(qforms.reduced_forms(-4 * m))
+        forms = qforms.reduced_forms(-4 * m)
+        h = len(forms)
         product = UnitProduct()
-        for s in surviving_sums(m):
+        for s in _survivors(m, qforms.homologue_pairs(forms)):
             sol = pell.solve_even_pell(s.pair.positive)
             eps = pell.unit_value(sol)
             product = product * UnitProduct([(eps, Fraction(s.k_product(), 2 * h))])
@@ -138,5 +142,5 @@ def weighted_sum_table(m: int) -> dict:
         "deltas": deltas,
         "rows": rows,
         "differences": differences,
-        "survivors": surviving_sums(m),
+        "survivors": _survivors(m, pairs),
     }

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from singmod import cli
+from singmod import cli, qforms
 from singmod.surd import NotASquareError
 
 
@@ -95,9 +95,18 @@ def test_tables_cells(capsys):
 
 
 def test_jpoly_trivial(capsys):
-    code, out, _ = run(capsys, ["jpoly", "--disc", "-4", "--prec", "40"])
+    code, out, _ = run(capsys, ["jpoly", "--disc", "-4"])
     assert code == 0
     assert "x^0: -1728" in out
+
+
+def test_jpoly_sizes_its_own_precision(capsys):
+    # coefficients of up to 262 digits; a fixed --prec 50 once failed here
+    code, out, _ = run(capsys, ["jpoly", "--disc", "-7000", "--format", "json"])
+    assert code == 0
+    coeffs = [int(c) for c in json.loads(out)["coefficients"]]
+    assert coeffs[0] == 1
+    assert len(coeffs) - 1 == qforms.class_number(-7000) == 20
 
 
 def test_verify_pass_and_fail(capsys):
@@ -176,7 +185,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
         ["kn", "--n", "30", "--prec", "-30"],
         ["kn", "--n", "30", "--prec", "0"],
         ["verify", "ratio", "--n", "30", "--prec", "-20"],
-        ["jpoly", "--disc", "-4", "--prec", "x"],
+        ["verify", "grenzformel", "--a", "1", "--c", "1", "--prec", "x"],
     ],
 )
 def test_precision_below_one_is_a_usage_error(capsys, argv):

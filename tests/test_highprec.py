@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from singmod import highprec as hp
 from singmod import modulus, qforms, weber
+from singmod.surd import SurdElement
 
 A1_840 = -3494487845306481075093315600749304691200
 # the 100-digit constant term, cross-checked against an independent
@@ -16,6 +17,17 @@ A8_840 = int(
     "7587169380271379738636919142674280077130439504327732605512510089785122"
     "099137867107270656000000000000"
 )
+POLY_840 = [
+    1,
+    A1_840,
+    206573882876758009898241769258678546966352946154161788928000,
+    -3134769336133353615460866275393209275783941494973163498240275428147200000,
+    267678830160178923896641219852982233572924885080172883621331723095220158464000000,
+    -1111712812272489788109971969097031933551408742194642794550538731744862298072678400000000,
+    454668527671405657965710869144455214652592634921420559367890411545189775674863255552000000000,
+    -5112159939990146378938499680802637042771646067107417706535388782137560566356569069977600000000000,
+    A8_840,
+]
 
 
 def test_agm_and_K_basics():
@@ -256,9 +268,77 @@ def test_class_polynomial_stable_under_more_precision():
     assert hp.class_polynomial(-840, 300) == hp.class_polynomial(-840, 320)
 
 
-def test_class_polynomial_rejects_low_precision():
-    with pytest.raises(ArithmeticError):
-        hp.class_polynomial(-840, 30)
+@pytest.mark.parametrize("prec", [1, 5, 20, 30, 40])
+def test_class_polynomial_is_exact_at_any_precision(prec):
+    # the working precision comes from the height bound, not from prec; a
+    # fixed 20 or 40 digits once returned wrong coefficients with no error
+    assert hp.class_polynomial(-840, prec) == POLY_840
+
+
+# the 13 discriminants of class number one and their rational j-invariants
+CLASS_NUMBER_ONE = {
+    -3: 0,
+    -4: 1728,
+    -7: -3375,
+    -8: 8000,
+    -11: -32768,
+    -12: 54000,
+    -16: 287496,
+    -19: -884736,
+    -27: -12288000,
+    -28: 16581375,
+    -43: -884736000,
+    -67: -147197952000,
+    -163: -262537412640768000,
+}
+
+
+@pytest.mark.parametrize("disc", sorted(CLASS_NUMBER_ONE))
+def test_class_polynomial_of_class_number_one(disc):
+    assert hp.class_polynomial(disc, 1) == [1, -CLASS_NUMBER_ONE[disc]]
+
+
+def _expanded_at(disc, digits):
+    """Reference class polynomial from j_invariant and the product, at `digits`."""
+    with mp.workdps(digits):
+        coeffs = [mp.mpc(1)]
+        for tau in _reduced_form_roots(disc):
+            jv = hp.j_invariant(tau, digits)
+            coeffs = [a - jv * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        out = [int(mp.nint(mp.re(c))) for c in coeffs]
+        assert max(abs(c - n) for c, n in zip(coeffs, out)) < mp.mpf(10) ** -40
+        return out
+
+
+def test_class_polynomial_sweep_against_50_more_digits():
+    for n in range(1, 301):
+        disc = -4 * n
+        digits = hp._height_digits(disc, qforms.reduced_forms(disc)) + 50
+        assert hp.class_polynomial(disc, 1) == _expanded_at(disc, digits), n
+
+
+def _sign_conjugates(x):
+    """The distinct values of x under every sign flip of its square roots."""
+    out = {x}
+    for p in x.prime_support():
+        out |= {y.conjugate(p) for y in out}
+    return out
+
+
+def test_class_polynomial_from_the_exact_chain():
+    # j(sqrt(-n)) = (64 G^2 + 16)^3 / (64 G^2) with G = g_n^12 from the unit
+    # product (Weber; Yui and Zagier, Math. Comp. 66, 1997); its conjugates
+    # are the j-values of the h reduced forms, so the product over them is the
+    # class polynomial, here in exact surd arithmetic
+    for n in CONVENIENT:
+        G = (modulus.singular_modulus(n, 50).g_product ** 12).expand_exact()
+        f24 = 64 * G * G
+        j = (f24 + 16) ** 3 / f24
+        poly = [SurdElement(1)]
+        for root in _sign_conjugates(j):
+            poly = [a - root * b for a, b in zip(poly + [SurdElement(0)], [SurdElement(0)] + poly)]
+        assert all(c.is_rational() and c.rational_part.denominator == 1 for c in poly), n
+        assert [int(c.rational_part) for c in poly] == hp.class_polynomial(-4 * n), n
 
 
 def test_epstein_zeta_at_two():

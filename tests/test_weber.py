@@ -246,3 +246,17 @@ def test_g2n_checks_the_precision_before_the_exact_work(monkeypatch):
     monkeypatch.setattr(qforms, "reduced_forms", unreachable)
     with pytest.raises(ValueError, match="precision"):
         weber.g2n(15, -30)
+
+
+def test_g2n_reduces_the_forms_once(monkeypatch):
+    calls = []
+    reduced_forms = qforms.reduced_forms
+
+    def counting(disc):
+        calls.append(disc)
+        return reduced_forms(disc)
+
+    monkeypatch.setattr(qforms, "reduced_forms", counting)
+    weber.g2n(105, 60)
+    # the other calls are the class numbers of the negative discriminants delta
+    assert calls.count(-840) == 1, calls
