@@ -33,7 +33,6 @@ from .surd import (
     NotASquareError,
     SurdElement,
     UnitProduct,
-    as_unit_factor,
     exact_sqrt,
     field_norm,
     parse_surd,
@@ -49,7 +48,6 @@ __all__ = [
     "SurdElement",
     "UnitProduct",
     "apply",
-    "as_unit_factor",
     "chi",
     "class_number",
     "class_polynomial",

@@ -109,22 +109,6 @@ def gn_numeric(n, prec: int = 50):
         return 1 / g if flip else g
 
 
-def eta(omega, prec: int = 50):
-    """Dedekind eta(omega) = e^(pi i omega / 12) prod(1 - e^(2 pi i n omega)).
-
-    mpmath's own `mp.eta`; real on the imaginary axis.  No library path calls
-    it: `grenzformel_rhs` takes |eta|^2 from `_theta_sums`.
-    """
-    with working_precision(prec):
-        w = mp.mpc(omega)
-        if mp.im(w) <= 0:
-            raise ValueError("eta needs Im(omega) > 0")
-        out = mp.eta(w)
-        if mp.re(w) == 0:
-            return mp.re(out)
-        return out
-
-
 def _theta_sums(q, bits: int):
     """(s2, theta3, theta4) at the nome q, with theta2 = 2 q^(1/4) s2.
 

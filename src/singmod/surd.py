@@ -210,17 +210,8 @@ class SurdElement:
         return total
 
     def sign(self) -> int:
-        """Exact sign of the identity embedding."""
-        if self.is_zero():
-            return 0
-        dps = 60
-        while dps <= 4000:
-            with mp.workdps(dps):
-                v = self.evalf()
-                if abs(v) > mp.mpf(10) ** (10 - dps):
-                    return 1 if v > 0 else -1
-            dps *= 4
-        raise ArithmeticError(f"cannot resolve sign of {self}")
+        """Exact sign of the identity embedding (`_sign_in_tower`)."""
+        return _sign_in_tower(self, self.prime_support())
 
     def __lt__(self, other):
         other = other if isinstance(other, SurdElement) else SurdElement(other)
@@ -313,20 +304,36 @@ def field_norm(x: SurdElement, primes: tuple[int, ...] | None = None) -> Fractio
     return partial.rational_part
 
 
-def as_unit_factor(x: SurdElement):
-    """Recognize x = T + U*sqrt(m) with |T^2 - m U^2| = 1; None otherwise."""
-    rads = [d for d in x.radicands if d != 1]
-    if len(rads) != 1:
-        return None
-    m = rads[0]
-    T, U = x.coefficient(1), x.coefficient(m)
-    norm = T * T - m * U * U
-    if abs(norm) != 1:
-        return None
-    return T, U, m, norm
+# -- the field tower: exact signs and square roots ----------------------------
 
 
-# -- exact square roots -----------------------------------------------------
+def _split(x: SurdElement, p: int) -> tuple[SurdElement, SurdElement]:
+    """(a, b) with x = a + b*sqrt(p), a and b free of sqrt(p)."""
+    a = SurdElement._reduced({d: c for d, c in x._terms.items() if d % p})
+    b = SurdElement._reduced({d // p: c for d, c in x._terms.items() if d % p == 0})
+    return a, b
+
+
+def _sign_in_tower(x: SurdElement, primes: tuple[int, ...]) -> int:
+    """Sign of x in Q(sqrt(p) : p in primes), by exact recursion down the tower.
+
+    With p the largest prime write x = a + b*sqrt(p).  When b = 0 or a and b
+    have one sign, that is the sign of x.  Otherwise a and b*sqrt(p) differ in
+    sign and the larger in size decides: sign(x) = sign(a) * sign(a^2 - p b^2).
+    Every sign on the right lies in the field of the smaller primes.
+    """
+    if x.is_rational():
+        r = x.rational_part
+        return (r > 0) - (r < 0)
+    p, rest = primes[-1], primes[:-1]
+    a, b = _split(x, p)
+    sa, sb = _sign_in_tower(a, rest), _sign_in_tower(b, rest)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * _sign_in_tower(a * a - b * b * p, rest)
+
 
 
 def _rational_sqrt(q: Fraction) -> SurdElement | None:
@@ -351,8 +358,7 @@ def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | Non
     if not primes:
         return _rational_sqrt(x.rational_part)
     p, rest = primes[-1], primes[:-1]
-    a = SurdElement._reduced({d: c for d, c in x._terms.items() if d % p})
-    b = SurdElement._reduced({d // p: c for d, c in x._terms.items() if d % p == 0})
+    a, b = _split(x, p)
     if b.is_zero():
         y = _sqrt_in_tower(a, rest)
         if y is not None:

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from singmod import cli, qforms
@@ -10,6 +12,163 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# The "Command line" block of the README: the json keys and the tsv header of each
+# example.  Every example exits 0.
+VERIFY_KEYS = {"check", "residual", "tolerance", "pass"}
+VERIFY_HEADER = "check\tresidual\ttolerance\tpass"
+KN_KEYS = {"alpha", "exact", "k", "k_product", "n", "ratio_residual"}
+KN_HEADER = "n\tk\talpha\tproduct\tresidual"
+README_COMMANDS = {
+    "forms --disc -840": ({"class_number", "discriminant", "forms"}, "a\tb\tc"),
+    "g2n --n 105": ({"n", "product", "qseries_residual", "value"}, "n\tproduct\tvalue\tresidual"),
+    "kn --n 210": (KN_KEYS | {"witness"}, KN_HEADER),
+    "kn --n 390": (KN_KEYS, KN_HEADER),
+    "tables --m 210": (
+        {"deltas", "differences", "jacobi_rows", "m", "survivors"},
+        "label\t1\t-3\t5\t-7\t-15\t21\t-35\t105",
+    ),
+    "jpoly --disc -840": ({"coefficients", "discriminant"}, "degree\tcoefficient"),
+    "verify ratio --n 210": (VERIFY_KEYS | {"alpha"}, VERIFY_HEADER),
+    "verify dirichlet --delta -3": (VERIFY_KEYS | {"closed_form", "finite_sum"}, VERIFY_HEADER),
+    "verify formula-g --a 1 --c 105": (VERIFY_KEYS, VERIFY_HEADER),
+    "verify grenzformel --a 1 --c 210": (VERIFY_KEYS, VERIFY_HEADER),
+}
+
+# their text output; the (tol ...) figure is 10^(10 - prec) at each default prec
+README_TEXT = {
+    "forms --disc -840": """\
+reduced forms, discriminant -840:
+  1. X^2 + 210Y^2
+  2. 2X^2 + 105Y^2
+  3. 3X^2 + 70Y^2
+  4. 5X^2 + 42Y^2
+  5. 6X^2 + 35Y^2
+  6. 7X^2 + 30Y^2
+  7. 10X^2 + 21Y^2
+  8. 14X^2 + 15Y^2
+class number h(-840) = 8
+""",
+    "g2n --n 105": """\
+g_210 = (251 + 30*sqrt(70))^(1/12) * (3/2 + 1/2*sqrt(5))^(1/4) * (5/2 + 1/2*sqrt(21))^(1/4) * (5 + 2*sqrt(6))^(1/4)
+      = 5.60483705714629472133721660966836307862413588312966820645277
+q-series residual: -5.66e-73
+""",
+    "kn --n 210": """\
+k_210:
+  = (4 - sqrt(15))^2 * (8 - 3*sqrt(7)) * (2 - sqrt(3)) * (6 - sqrt(35)) * (sqrt(10) - 3)^2 * (sqrt(7) - sqrt(6))^2 * (sqrt(2) - 1)^2 * (sqrt(15) - sqrt(14))
+  = 0.00000000052025241847064504804898994675076014678748445122927
+  alpha = 2.7066257892455517275593316576258447509090535730406e-19
+  quartet: a = 121983 + 11904*sqrt(105); b = 249 + 24*sqrt(105); c = 121489 + 11856*sqrt(105); d = 247 + 24*sqrt(105)
+  F-ratio residual: -1.94e-62
+""",
+    "kn --n 390": """\
+k_390:
+  = 0.00000000000013487235850544482086123007877017146497036850841197
+  alpha = 1.8190553088821233912357849943958496116603525257573e-26
+  F-ratio residual: -3.89e-62
+""",
+    "tables --m 210": """\
+weighted-sum tables for m = 210
+chi           1   -3    5   -7  -15   21  -35  105
+(d/211)       1    1    1    1    1    1    1    1
+(d/107)       1   -1   -1    1    1   -1   -1    1
+(d/73)        1    1   -1   -1   -1   -1    1    1
+(d/47)        1   -1   -1   -1    1    1    1   -1
+(d/41)        1   -1    1   -1   -1    1   -1    1
+(d/37)        1    1   -1    1   -1    1   -1   -1
+(d/31)        1    1    1   -1    1   -1   -1   -1
+(d/29)        1   -1    1    1   -1   -1    1   -1
+
+coefficient differences (per pair, by odd A):
+delta      A=1   A=3   A=5   A=7
+1            0     0     0     0
+-3           2     2    -2     2
+5            2    -2    -2    -2
+-7           0     0     0     0
+-15          0     0     0     0
+21           2    -2     2     2
+-35          2     2     2    -2
+105          0     0     0     0
+
+survivors: -3, 5, 21, -35
+""",
+    "jpoly --disc -840": """\
+class polynomial for discriminant -840 (monic, degree 8):
+  x^8: 1
+  x^7: -3494487845306481075093315600749304691200
+  x^6: 206573882876758009898241769258678546966352946154161788928000
+  x^5: -3134769336133353615460866275393209275783941494973163498240275428147200000
+  x^4: 267678830160178923896641219852982233572924885080172883621331723095220158464000000
+  x^3: -1111712812272489788109971969097031933551408742194642794550538731744862298072678400000000
+  x^2: 454668527671405657965710869144455214652592634921420559367890411545189775674863255552000000000
+  x^1: -5112159939990146378938499680802637042771646067107417706535388782137560566356569069977600000000000
+  x^0: 7587169380271379738636919142674280077130439504327732605512510089785122099137867107270656000000000000
+""",
+    "verify ratio --n 210": """\
+PASS  F(1-a)/F(a) = sqrt(210): residual -1.94469e-62 (tol 1.0e-40)
+""",
+    "verify dirichlet --delta -3": """\
+PASS  L(1, chi_-3) class number formula: residual 0.0 (tol 1.0e-30)
+""",
+    "verify formula-g --a 1 --c 105": """\
+PASS  Epstein pair difference = 4 pi/sqrt(m) ln g, A=1, C=105: residual -5.38099e-43 (tol 1.0e-20)
+""",
+    "verify grenzformel --a 1 --c 210": """\
+PASS  Epstein constant term, form (1, 0, 210): residual -7.17465e-43 (tol 1.0e-20)
+""",
+}
+
+
+def test_readme_block_is_pinned():
+    text = open(Path(__file__).resolve().parents[1] / "README.md").read()
+    block = text.split("## Command line")[1].split("```")[1]
+    examples = [l.split("#")[0].split(None, 1)[1].strip() for l in block.splitlines() if l.strip()]
+    assert examples == list(README_COMMANDS) == list(README_TEXT)
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_outputs(capsys, command):
+    keys, header = README_COMMANDS[command]
+    code, out, _ = run(capsys, command.split() + ["--format", "json"])
+    assert code == 0 and set(json.loads(out)) == keys
+    code, out, _ = run(capsys, command.split() + ["--format", "tsv"])
+    assert code == 0 and out.splitlines()[0] == header
+    code, out, _ = run(capsys, command.split())
+    assert code == 0 and out == README_TEXT[command]
+
+
+def test_jpoly_tsv_rows(capsys):
+    code, out, _ = run(capsys, ["jpoly", "--disc", "-4", "--format", "tsv"])
+    assert code == 0 and out == "degree\tcoefficient\n1\t1\n0\t-1728\n"
+
+
+def test_verify_fails_when_digits_are_lost(monkeypatch, capsys):
+    # a residual of 1e-50 at --prec 100 has lost 50 digits; the default tolerance is 1e-90
+    monkeypatch.setattr(cli.highprec, "verify_grenzformel", lambda *args: mp.mpf("1e-50"))
+    argv = ["verify", "grenzformel", "--a", "1", "--c", "210", "--prec", "100"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and out.startswith("FAIL")
+    code, out, _ = run(capsys, argv + ["--tol", "1e-40"])
+    assert code == 0 and out.startswith("PASS")
+
+
+@pytest.mark.parametrize("prec", [30, 60])
+@pytest.mark.parametrize(
+    "check",
+    [
+        ["ratio", "--n", "210"],
+        ["dirichlet", "--delta", "-3"],
+        ["formula-g", "--a", "1", "--c", "105"],
+        ["grenzformel", "--a", "1", "--c", "210"],
+    ],
+)
+def test_default_tolerance_follows_prec(capsys, check, prec):
+    code, out, _ = run(capsys, ["verify", *check, "--prec", str(prec), "--format", "json"])
+    data = json.loads(out)
+    assert code == 0 and data["pass"] is True
+    assert data["tolerance"] == f"1.0e-{prec - 10}"
 
 
 def test_forms_text(capsys):

@@ -132,44 +132,12 @@ def test_four_log_sum_identity():
         assert abs(lhs - rhs) < mp.mpf("1e-30")
 
 
-def test_eta_golden_point():
-    with mp.workdps(45):
-        golden = mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf(0.75))
-        assert abs(hp.eta(mp.mpc(0, 1), 40) - golden) < mp.mpf("1e-35")
-
-
-def test_eta_halving_identity():
-    # eta(w/2)/eta(w) = q^(-1/24) prod (1 - q^(2n-1)), q = e^(pi i w)
-    with mp.workdps(45):
-        for A in (1, 3, 5, 7):
-            w = mp.mpc(0, mp.sqrt(210) / A)
-            lhs = hp.eta(w / 2, 40) / hp.eta(w, 40)
-            q = mp.exp(-mp.pi * mp.im(w))
-            rhs = mp.power(q, mp.mpf(-1) / 24)
-            n = 1
-            while True:
-                f = q ** (2 * n - 1)
-                rhs *= 1 - f
-                if f < mp.mpf("1e-50"):
-                    break
-                n += 1
-            assert abs(lhs - rhs) < mp.mpf("1e-38"), A
-
-
 def test_eta_ratio_gives_g210():
     with mp.workdps(45):
         w = mp.mpc(0, mp.sqrt(210))
-        lhs = hp.eta(w / 2, 40) / hp.eta(w, 40)
+        lhs = mp.eta(w / 2) / mp.eta(w)
         rhs = mp.power(2, mp.mpf(1) / 4) * hp.gn_numeric(210, 40)
         assert abs(lhs - rhs) < mp.mpf("1e-38")
-
-
-def test_eta_deep_point_leading_term():
-    with mp.workdps(40):
-        v = hp.eta(mp.mpc(0, 10), 35)
-        assert abs(v - mp.exp(-10 * mp.pi / 12)) < mp.mpf("1e-27")
-    with pytest.raises(ValueError):
-        hp.eta(mp.mpc(1, -1))
 
 
 def test_j_classical_points():
@@ -473,7 +441,7 @@ def test_fundamental_lemma_difference():
             2
             * mp.pi
             / mp.sqrt(m)
-            * mp.log(mp.sqrt(2) * (hp.eta(w, 35) / hp.eta(w / 2, 35)) ** 2)
+            * mp.log(mp.sqrt(2) * (mp.eta(w) / mp.eta(w / 2)) ** 2)
         )
         assert abs(lhs - mp.re(rhs)) < mp.mpf("1e-25")
 
@@ -512,7 +480,6 @@ PREC_ENTRY_POINTS = {
     "F_series": lambda p: hp.F_series(mp.mpf("0.5"), p),
     "verify_ratio_value": lambda p: hp.verify_ratio_value(mp.mpf("0.5"), p),
     "gn_numeric": lambda p: hp.gn_numeric(210, p),
-    "eta": lambda p: hp.eta(1j, p),
     "j_invariant": lambda p: hp.j_invariant(1j, p),
     "k_numeric": lambda p: hp.k_numeric(5, p),
     "class_polynomial": lambda p: hp.class_polynomial(-840, p),

@@ -13,7 +13,6 @@ from singmod.surd import (
     NotASquareError,
     SurdElement,
     UnitProduct,
-    as_unit_factor,
     exact_sqrt,
     field_norm,
     parse_surd,
@@ -228,6 +227,61 @@ def test_exact_sqrt_of_squares_over_fields_of_rank_1_to_5(case):
     assert got.sign() > 0
 
 
+def test_sign_of_powers_of_a_small_unit():
+    # (1 - sqrt(2))^k has coefficients of about 0.38 k digits and a value of size
+    # 10^(-0.38 k); a sign read off a fixed number of digits failed from k = 176
+    x = parse_surd("1 - sqrt(2)")
+    power = SurdElement(1)
+    for k in range(1, 400):
+        power = power * x
+        assert power.sign() == (-1) ** k, k
+
+
+def test_exact_sqrt_of_a_tiny_square_is_positive():
+    u = parse_surd("sqrt(2) - 1") ** 176  # about 4.3e-68
+    assert exact_sqrt(u * u) == u
+    assert u > 0 and -u < 0 and u < 2 * u
+
+
+# a unit below 1 in size for each prime of FIELD_PRIMES
+SMALL_UNITS = {2: "sqrt(2) - 1", 3: "2 - sqrt(3)", 5: "9 - 4*sqrt(5)", 7: "8 - 3*sqrt(7)", 11: "10 - 3*sqrt(11)"}
+
+
+@st.composite
+def tall_elements(draw):
+    """y * u^k over at most 4 primes: y with integer coefficients up to 10^80, u a small unit.
+
+    The coefficients of y * u^k are large while its value can be tiny, so its
+    sign cannot be read off a fixed number of digits.
+    """
+    primes = sorted(draw(st.sets(st.sampled_from(FIELD_PRIMES), min_size=1, max_size=4)))
+    rads = [math.prod(c) for r in range(len(primes) + 1) for c in combinations(primes, r)]
+    chosen = draw(st.lists(st.sampled_from(rads), min_size=1, max_size=6, unique=True))
+    y = SurdElement({d: draw(st.integers(-(10**80), 10**80).filter(bool)) for d in chosen})
+    unit = parse_surd(SMALL_UNITS[draw(st.sampled_from(primes))])
+    return y * unit ** draw(st.integers(0, 120))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_elements(), tall_elements())
+def test_sign_is_multiplicative(x, y):
+    assert (x * y).sign() == x.sign() * y.sign() != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_elements())
+def test_exact_sqrt_of_a_tall_square(x):
+    x = x if x.sign() > 0 else -x
+    assert exact_sqrt(x * x, ambient_primes=x.prime_support()) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_elements(), tall_elements())
+def test_order_is_the_sign_of_the_difference(x, y):
+    assert (x < y) == ((y - x).sign() > 0) == (y > x)
+    assert not (x < x) and x <= x
+
+
 @settings(max_examples=60, deadline=None)
 @given(field_elements(), st.sampled_from((13, 17, 19, 23)))
 def test_exact_sqrt_rejects_a_prime_outside_the_field(case, q):
@@ -246,17 +300,6 @@ def test_parse_print_round_trip():
         x = parse_surd(text)
         assert parse_surd(str(x)) == x
         assert str(parse_surd(str(x))) == str(x)
-
-
-def test_as_unit_factor():
-    assert as_unit_factor(parse_surd("4 - sqrt(15)")) == (4, -1, 15, 1)
-    T, U, m, norm = as_unit_factor(parse_surd("sqrt(10) - 3"))
-    assert (T, U, m) == (-3, 1, 10) and abs(norm) == 1
-    assert as_unit_factor(parse_surd("3 + sqrt(10)"))[3] == -1
-    ok = as_unit_factor(SurdElement({1: Fraction(3, 2), 5: Fraction(1, 2)}))
-    assert ok == (Fraction(3, 2), Fraction(1, 2), 5, 1)
-    assert as_unit_factor(parse_surd("5 + sqrt(10)")) is None
-    assert as_unit_factor(parse_surd("sqrt(7) - sqrt(6)")) is None
 
 
 def test_unit_product_basics():
