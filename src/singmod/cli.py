@@ -174,7 +174,7 @@ def check_grenzformel(args):
 
 def cmd_verify(args) -> Record:
     label, residual, extra = args.run_check(args)
-    tol = mp.mpf(args.tol) if args.tol else mp.mpf(10) ** (10 - args.prec)
+    tol = args.tol or mp.mpf(10) ** (10 - args.prec)
     ok = abs(residual) < tol
     row = {"check": label, "residual": mp.nstr(residual, 6), "tolerance": mp.nstr(tol, 3), "pass": int(ok)}
     text = f"{'PASS' if ok else 'FAIL'}  {label}: residual {row['residual']} (tol {row['tolerance']})"
@@ -199,6 +199,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_number(text: str):
+    """A tolerance: a finite number above 0."""
+    try:
+        value = mp.mpf(text)
+    except ValueError:
+        value = mp.mpf(0)
+    if not (mp.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_sub = p_v.add_subparsers(dest="check", required=True)
     for name, text, check, prec, ints in CHECKS:
         p = _subcommand(v_sub, name, text, cmd_verify, prec or default_prec, **ints)
-        p.add_argument("--tol", default=None)
+        p.add_argument("--tol", type=_positive_number, default=None)
         p.set_defaults(run_check=check)
     return parser
 

@@ -39,6 +39,7 @@ from .surd import (
     UnitProduct,
     exact_sqrt,
     field_norm,
+    rational_sqrt,
 )
 
 
@@ -66,28 +67,18 @@ def subgroup_splits(g12: SurdElement) -> tuple[SurdElement, SurdElement]:
     return s1, g12 - s1
 
 
-def solve_pair_product(
-    p: SurdElement, q: SurdElement, ambient_primes=None
+def solve_pair(
+    p: SurdElement, q: SurdElement, shift: int, ambient_primes=None
 ) -> tuple[SurdElement, SurdElement]:
-    """Solve uv = p, (u+1)(v-1) = q exactly, or NotASquareError.
+    """Solve uv = p, (u + shift)(v - 1) = q for shift = +-1 exactly, or NotASquareError.
 
-    u - v = p - q - 1 is forced, and u is taken as the positive root of the
-    quadratic, so u >= v whenever q <= p - 1.
+    u - shift*v = t = p - q - shift is forced, so u is the positive root of
+    u^2 - t u - shift*p = 0 and v = shift*(u - t).
     """
-    diff = p - q - 1  # u - v
-    root = exact_sqrt(diff * diff + 4 * p, ambient_primes=ambient_primes)
-    u = (diff + root) / 2
-    return u, u - diff
-
-
-def solve_pair_product_sym(
-    p: SurdElement, q: SurdElement, ambient_primes=None
-) -> tuple[SurdElement, SurdElement]:
-    """Solve uv = p, (u-1)(v-1) = q with u the larger member; exact or NotASquareError."""
-    total = p - q + 1  # u + v
-    root = exact_sqrt(total * total - 4 * p, ambient_primes=ambient_primes)
-    u = (total + root) / 2
-    return u, total - u
+    t = p - q - shift
+    root = exact_sqrt(t * t + 4 * shift * p, ambient_primes=ambient_primes)
+    u = (t + root) / 2
+    return u, (u - t) * shift
 
 
 @dataclass
@@ -114,18 +105,15 @@ class DescentWitness:
             return False
         if (self.alpha + 1) * (self.beta - 1) != self.s2 * self.s2:
             return False
-        pairs = (
-            (self.alpha, self.a * self.b, (self.a + 1) * (self.b - 1)),
-            (self.beta, self.c * self.d, (self.c - 1) * (self.d - 1)),
-        )
-        for total, p, q in pairs:
+        for total, x, y, shift in ((self.alpha, self.a, self.b, 1), (self.beta, self.c, self.d, -1)):
+            p, q = x * y, (x + shift) * (y - 1)
             t = total - p - q
             if t.sign() < 0 or t * t != 4 * p * q:
                 return False
         return True
 
 
-def _quartet(root: SurdElement, shifted_up: bool, ambient_primes):
+def _quartet(root: SurdElement, shift: int, ambient_primes):
     """Split sqrt(alpha) (or sqrt(beta)) into two halves and solve the pair.
 
     With root's radicands sorted, the halves are T1 = rads[:1] + rads[3:] and
@@ -133,9 +121,9 @@ def _quartet(root: SurdElement, shifted_up: bool, ambient_primes):
     <sqrt(r0 r3)>, whose field holds the pair; one term each for two terms;
     T1 = root and T2 = 0 for one.  Any other term count raises
     NotASquareError.  The larger half, by exact sign, is the plain product
-    side.  Returns (minus1, minus2, plus1, plus2, u, v) where minus/plus are
-    the difference and sum factors sqrt(X) -+ sqrt(X - 1) built from the
-    solved pair.
+    side, solved by `solve_pair` with the given shift.  Returns (minus1,
+    minus2, plus1, plus2, u, v) where minus/plus are the difference and sum
+    factors sqrt(X) -+ sqrt(X - 1) built from the solved pair.
     """
     rads = sorted(root.radicands)
     if len(rads) not in (1, 2, 4):
@@ -143,20 +131,15 @@ def _quartet(root: SurdElement, shifted_up: bool, ambient_primes):
     t1 = SurdElement({d: root.coefficient(d) for d in rads[:1] + rads[3:]})
     t2 = root - t1
     big, small = (t1, t2) if (t1 - t2).sign() >= 0 else (t2, t1)
-    p, q = big * big, small * small
-    if shifted_up:
-        u, v = solve_pair_product(p, q, ambient_primes)
-    else:
-        u, v = solve_pair_product_sym(p, q, ambient_primes)
+    u, v = solve_pair(big * big, small * small, shift, ambient_primes)
     if (u - v).sign() < 0 or (v - 1).sign() < 0:
         raise NotASquareError("pair solution out of order")
     ru = exact_sqrt(u, ambient_primes=ambient_primes)
-    ru1 = exact_sqrt(u + 1 if shifted_up else u - 1, ambient_primes=ambient_primes)
+    ru1 = exact_sqrt(u + shift, ambient_primes=ambient_primes)
     rv = exact_sqrt(v, ambient_primes=ambient_primes)
     rv1 = exact_sqrt(v - 1, ambient_primes=ambient_primes)
-    if shifted_up:
-        return ru1 - ru, rv - rv1, ru1 + ru, rv + rv1, u, v
-    return ru - ru1, rv - rv1, ru + ru1, rv + rv1, u, v
+    hi, lo = (ru1, ru) if shift > 0 else (ru, ru1)
+    return hi - lo, rv - rv1, hi + lo, rv + rv1, u, v
 
 
 def quartet_roots(s1: SurdElement, s2: SurdElement, ambient_primes=None):
@@ -167,11 +150,11 @@ def quartet_roots(s1: SurdElement, s2: SurdElement, ambient_primes=None):
     product, witness the recovered intermediates.  The defining quadratic is
     checked exactly before returning.
     """
-    alpha, beta = solve_pair_product(s1 * s1, s2 * s2, ambient_primes)
+    alpha, beta = solve_pair(s1 * s1, s2 * s2, 1, ambient_primes)
     root_alpha = exact_sqrt(alpha, ambient_primes=ambient_primes)
     root_beta = exact_sqrt(beta, ambient_primes=ambient_primes)
-    f1, f2, p1, p2, a, b = _quartet(root_alpha, True, ambient_primes)
-    f3, f4, p3, p4, c, d = _quartet(root_beta, False, ambient_primes)
+    f1, f2, p1, p2, a, b = _quartet(root_alpha, 1, ambient_primes)
+    f3, f4, p3, p4, c, d = _quartet(root_beta, -1, ambient_primes)
     x1 = f1 * f2 * f3 * f4
     x2 = -(p1 * p2 * p3 * p4)
     if x1 * x2 != SurdElement(-1):
@@ -207,35 +190,6 @@ def alpha_from_unit_pair(u: SurdElement, v: SurdElement, ambient_primes=None) ->
 # -- reduction of difference factors to fundamental units -------------------
 
 
-def _integer_square_root_unit(u: SurdElement):
-    """w = p sqrt(r1) - q sqrt(r2) with integer p, q and w^2 = u, or None."""
-    terms = u.terms
-    if len(terms) != 2 or 1 not in terms:
-        return None
-    A = terms[1]
-    M = next(d for d in terms if d != 1)
-    B = -terms[M]
-    if A <= 0 or B <= 0 or A.denominator != 1 or B.denominator != 1:
-        return None
-    A, B = int(A), int(B)
-    if B % 2:
-        return None
-    for r1 in arith.divisors(M):
-        r2 = M // r1
-        if r1 > r2 or not arith.is_squarefree(r1) or not arith.is_squarefree(r2):
-            continue
-        pq = B // 2
-        for p in arith.divisors(pq):
-            q = pq // p
-            if p * p * r1 + q * q * r2 == A:
-                w = SurdElement({r1: p}) - SurdElement({r2: q})
-                if w.sign() < 0:
-                    w = -w
-                if w * w == u:
-                    return w
-    return None
-
-
 def _subfield_units(x: SurdElement) -> UnitProduct:
     """x as a product of quadratic units of its own field, rebuilt exactly.
 
@@ -244,6 +198,9 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
     values log|sigma_s(x)| is log|N_{K/Q(sqrt d)}(x)|, and for a unit
     x^(2^(r-1)) = +-prod_d N_{K/Q(sqrt d)}(x), so x has the exponent
     -W_d / (2^r log eps_d) on eps_d^-1, eps_d the even-Pell unit of Q(sqrt d).
+    eps_d^-1 = (T - U sqrt d)/2 is replaced by its square root
+    w = (sqrt(T + 2) - sqrt(T - 2))/2, by (T + 2)(T - 2) = d U^2, when both
+    roots lie in Q(sqrt(p) : p | d) and w has integer coefficients.
     """
     primes = x.prime_support()
     r = len(primes)
@@ -258,16 +215,18 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
             for s in range(1 << r)
         ]
         for mask in range(1, 1 << r):
-            d = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
-            eps = pell.unit_value(pell.solve_even_pell(d))
+            sub = tuple(p for i, p in enumerate(primes) if mask >> i & 1)
+            d = math.prod(sub)
+            sol = pell.solve_even_pell(d)
+            eps = pell.unit_value(sol)
             walsh = mp.fsum(-v if bin(s & mask).count("1") % 2 else v for s, v in enumerate(logs))
             e = Fraction(int(mp.nint(-2 * walsh / ((1 << r) * mp.log(eps.evalf())))), 2)
             if e == 0:
                 continue
-            inv = eps.conjugate(d)
-            w = _integer_square_root_unit(inv)
-            if w is None:
-                units.append((eps, (inv, e)))
+            hi, lo = rational_sqrt(sol.T + 2, sub), rational_sqrt(sol.T - 2, sub)
+            w = None if hi is None or lo is None else (hi - lo) * Fraction(1, 2)
+            if w is None or any(c.denominator != 1 for c in w.terms.values()):
+                units.append((eps, (eps.conjugate(d), e)))
             else:
                 units.append((w.inverse() if w.rational_part else eps, (w, 2 * e)))
     # Smallest fundamental unit of Q(sqrt d) first (1/w if w has a rational part,
@@ -285,8 +244,9 @@ def factor_into_units(product: UnitProduct) -> UnitProduct:
     Two-term unit factors (the sqrt(X) - sqrt(X-1) shapes that are already
     simple) pass through untouched.  Every other factor x is read off its log
     embedding (`_subfield_units`): each exponent of eps_d^-1 is rounded to the
-    nearest half-integer, eps_d^-1 is replaced by its square root where that
-    has integer coefficients, and the product must rebuild x exactly.
+    nearest half-integer, eps_d^-1 = (T - U sqrt d)/2 is replaced by its square
+    root (sqrt(T + 2) - sqrt(T - 2))/2 where that has integer coefficients, and
+    the product must rebuild x exactly.
     ArithmeticError is raised when it does not, e.g. when x is not a unit.
     """
     out = UnitProduct()

@@ -335,15 +335,27 @@ def _sign_in_tower(x: SurdElement, primes: tuple[int, ...]) -> int:
     return sa * _sign_in_tower(a * a - b * b * p, rest)
 
 
+def rational_sqrt(q: int | Fraction, primes: tuple[int, ...]) -> SurdElement | None:
+    """The positive square root of q in Q(sqrt(p) : p in primes), or None.
 
-def _rational_sqrt(q: Fraction) -> SurdElement | None:
-    """Rational square root of q by integer square roots, or None."""
+    num*den = s^2 * d, with d the product of the given primes that divide it to
+    an odd power: only those primes are divided out, and what remains must be a
+    perfect square.  The root is then s sqrt(d) / den.
+    """
     if q < 0:
         return None
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
+    rest, s, d = q.numerator * q.denominator, 1, 1
+    for p in primes:
+        e = 0
+        while rest and rest % p == 0:
+            rest //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    r = math.isqrt(rest)
+    if r * r != rest:
         return None
-    return SurdElement._reduced({1: Fraction(num, den)})
+    return SurdElement._reduced({d: Fraction(r * s, q.denominator)})
 
 
 def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | None:
@@ -354,9 +366,10 @@ def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | Non
     N = sqrt(a^2 - p b^2) and y^2 = (a + N)/2 or (a - N)/2; both are solved
     in the smaller field, and when y exists the candidate squares to x
     identically.  If b == 0, a root is either sqrt(a) or sqrt(a/p)*sqrt(p).
+    A rational x, at any level, takes its root from `rational_sqrt`.
     """
-    if not primes:
-        return _rational_sqrt(x.rational_part)
+    if x.is_rational():
+        return rational_sqrt(x.rational_part, primes)
     p, rest = primes[-1], primes[:-1]
     a, b = _split(x, p)
     if b.is_zero():
@@ -378,20 +391,13 @@ def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | Non
 def exact_sqrt(x: SurdElement, ambient_primes=None) -> SurdElement:
     """The positive square root of x in Q(sqrt(p) : p in P), or NotASquareError.
 
-    P is the prime support of x, widened by `ambient_primes`.  A rational x gets
-    its root sqrt(s^2 d) = s sqrt(d) whatever P is.  Otherwise the root is found
+    P is the prime support of x, widened by `ambient_primes`.  The root is found
     by denesting down the tower of quadratic extensions (`_sqrt_in_tower`) and
-    verified by squaring.
+    verified by squaring.  A rational x follows the same rule, so its root must
+    lie in Q(sqrt(P)) too: sqrt(2) needs ambient_primes=(2,).
     """
     if x.is_zero():
         return SurdElement()
-    if x.is_rational():
-        f = x.rational_part
-        if f < 0:
-            raise NotASquareError(f"{x} is negative")
-        s, d = arith.squarefree_decompose(f.numerator * f.denominator)
-        return SurdElement({d: Fraction(s, f.denominator)})
-
     primes = set(x.prime_support())
     if ambient_primes:
         primes.update(ambient_primes)

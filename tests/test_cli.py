@@ -122,7 +122,7 @@ PASS  Epstein constant term, form (1, 0, 210): residual -7.17465e-43 (tol 1.0e-2
 
 
 def test_readme_block_is_pinned():
-    text = open(Path(__file__).resolve().parents[1] / "README.md").read()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line")[1].split("```")[1]
     examples = [l.split("#")[0].split(None, 1)[1].strip() for l in block.splitlines() if l.strip()]
     assert examples == list(README_COMMANDS) == list(README_TEXT)
@@ -353,6 +353,17 @@ def test_precision_below_one_is_a_usage_error(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan", "abc", "0"])
+def test_tolerance_must_be_positive_and_finite(capsys, monkeypatch, tol):
+    # a usage error, found before the check runs: inf passed every residual and
+    # -1 or nan failed every one
+    monkeypatch.setattr(cli.modulus, "singular_modulus", lambda *args: pytest.fail("the check ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "ratio", "--n", "2", "--tol", tol])
+    assert exc.value.code == 2
+    assert "expected a positive finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

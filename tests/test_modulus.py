@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -73,26 +74,34 @@ def test_split_even_odd(k30):
     assert (odd30, even30) == (k30.witness.s1, k30.witness.s2)
 
 
-def test_solve_pair_product_golden():
-    u, v = modulus.solve_pair_product(SurdElement(384), SurdElement(375))
+def test_solve_pair_golden():
+    u, v = modulus.solve_pair(SurdElement(384), SurdElement(375), 1)
     assert (u, v) == (SurdElement(24), SurdElement(16))
     p = parse_surd("2076*sqrt(7) + 1419*sqrt(15)") ** 2
     q = parse_surd("3168*sqrt(3) + 928*sqrt(35)") ** 2
-    u, v = modulus.solve_pair_product(p, q)
+    u, v = modulus.solve_pair(p, q, 1)
     assert u == parse_surd("121983 + 11904*sqrt(105)")
     assert v == parse_surd("249 + 24*sqrt(105)")
 
 
-def test_solve_pair_product_degenerate():
-    u, v = modulus.solve_pair_product(SurdElement(30), SurdElement(30))
+def test_solve_pair_degenerate():
+    u, v = modulus.solve_pair(SurdElement(30), SurdElement(30), 1)
     assert u * v == SurdElement(30)
     assert (u + 1) * (v - 1) == SurdElement(30)
     assert (u, v) == (SurdElement(5), SurdElement(6))
 
 
-def test_solve_pair_product_sym_golden():
-    u, v = modulus.solve_pair_product_sym(SurdElement(24), SurdElement(15))
+def test_solve_pair_shifted_down_golden():
+    u, v = modulus.solve_pair(SurdElement(24), SurdElement(15), -1)
     assert (u, v) == (SurdElement(6), SurdElement(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from((1, -1)))
+def test_solve_pair_recovers_its_pair(x, y, shift):
+    u, v = max(x, y), min(x, y)
+    p, q = SurdElement(u * v), SurdElement((u + shift) * (v - 1))
+    assert modulus.solve_pair(p, q, shift) == (SurdElement(u), SurdElement(v))
 
 
 def test_quartet_roots_known_split():
@@ -209,7 +218,7 @@ def test_sqrt_alpha_halves_are_cosets():
         assert exact_sqrt((w.a + 1) * (w.b - 1), ambient_primes=primes) == parse_surd(shifted_side), n
     # the rule covers one, two and four terms; any other count has no halves
     with pytest.raises(NotASquareError, match="3 terms"):
-        modulus._quartet(parse_surd("sqrt(3) + sqrt(5) + sqrt(7)"), True, None)
+        modulus._quartet(parse_surd("sqrt(3) + sqrt(5) + sqrt(7)"), 1, None)
 
 
 def test_k_surd_matches_the_exact_root_of_the_quadratic():
@@ -292,7 +301,7 @@ def test_alpha_from_unit_pair_30():
 
 
 def test_alpha_from_unit_pair_degenerate():
-    alpha, product = modulus.alpha_from_unit_pair(SurdElement(1), SurdElement(1))
+    alpha, product = modulus.alpha_from_unit_pair(SurdElement(1), SurdElement(1), ambient_primes=(2,))
     assert alpha == parse_surd("3 - 2*sqrt(2)")
     root = parse_surd("sqrt(2) - 1")
     assert alpha == root * root
@@ -322,6 +331,17 @@ def test_factor_into_units_golden():
         "sqrt(2) - 1": 2,
         "sqrt(15) - sqrt(14)": 1,
     }
+
+
+def test_factor_into_units_takes_unit_roots_without_factoring():
+    # eps_d^-1 = (T - U sqrt d)/2 has the root (sqrt(T + 2) - sqrt(T - 2))/2; a
+    # divisor search over U/4 = 56,211,456,782,882,376 took over 30 s for d = 337
+    eps = {d: pell.unit_value(pell.solve_even_pell(d)) for d in (2, 337)}
+    x = eps[337].inverse() * eps[2].inverse()
+    start = time.perf_counter()
+    out = modulus.factor_into_units(UnitProduct([(x, 1)]))
+    assert time.perf_counter() - start < 1
+    assert str(out) == "(sqrt(2) - 1)^2 * (55335641*sqrt(337) - 1015827336)^2"
 
 
 def test_factor_into_units_rejects_a_non_unit():

@@ -1,11 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singmod import highprec
@@ -16,6 +17,7 @@ from singmod.surd import (
     exact_sqrt,
     field_norm,
     parse_surd,
+    rational_sqrt,
 )
 
 # expressions appearing along the k_210 / k_30 computations
@@ -180,7 +182,34 @@ def test_exact_sqrt_trivia():
     assert exact_sqrt(SurdElement(4)) == SurdElement(2)
     assert exact_sqrt(SurdElement(Fraction(9, 4))) == SurdElement(Fraction(3, 2))
     assert exact_sqrt(SurdElement(0)).is_zero()
-    assert exact_sqrt(SurdElement(2)) == SurdElement({2: 1})
+    assert exact_sqrt(SurdElement(2), ambient_primes=(2,)) == SurdElement({2: 1})
+
+
+def test_a_rational_root_lies_in_the_field_of_the_given_primes():
+    # sqrt(2) is not in Q, the field of 2's (empty) radicand support
+    with pytest.raises(NotASquareError):
+        exact_sqrt(SurdElement(2))
+    assert exact_sqrt(SurdElement(Fraction(15, 8)), ambient_primes=(2, 3, 5)) == parse_surd("1/4*sqrt(30)")
+    with pytest.raises(NotASquareError):
+        exact_sqrt(SurdElement(Fraction(15, 8)), ambient_primes=(2, 3))
+
+
+def test_rational_sqrt():
+    assert rational_sqrt(Fraction(9, 4), ()) == SurdElement(Fraction(3, 2))
+    assert rational_sqrt(Fraction(-9, 4), ()) is None
+    assert rational_sqrt(0, ()).is_zero()
+    assert rational_sqrt(2**101 * 3**4 * 7, (2, 7)) == SurdElement({14: 2**50 * 9})
+    assert rational_sqrt(2**101 * 3**4 * 7, (2,)) is None
+    assert rational_sqrt(Fraction(5, 12), (3, 5)) == SurdElement({15: Fraction(1, 6)})
+
+
+@pytest.mark.parametrize("c", [100000007, 2**61 - 1])
+def test_exact_sqrt_of_a_rational_tall_square_is_fast(c):
+    # the root of c^2 takes one integer square root; trial division of c took
+    # seconds for c = 100000007 and never finished for c = 2^61 - 1
+    start = time.perf_counter()
+    assert exact_sqrt(SurdElement(c * c)) == SurdElement(c)
+    assert time.perf_counter() - start < 1
 
 
 def test_exact_sqrt_failures():
@@ -287,9 +316,6 @@ def test_order_is_the_sign_of_the_difference(x, y):
 def test_exact_sqrt_rejects_a_prime_outside_the_field(case, q):
     y, primes = case
     x = y * y * q
-    # a rational x takes the top-level rational branch, which returns
-    # sqrt(q * y^2) whatever the ambient primes are
-    assume(not x.is_rational())
     with pytest.raises(NotASquareError):
         exact_sqrt(x, ambient_primes=primes)
 
