@@ -261,9 +261,21 @@ def factor_into_units(product: UnitProduct) -> UnitProduct:
 # -- closed forms for n = 2, 3, 7 and the full pipeline ----------------------
 
 
+_CLOSED_FORMS = {
+    2: SurdElement({1: -1, 2: 1}),
+    3: SurdElement({6: Fraction(1, 4), 2: -Fraction(1, 4)}),
+    7: SurdElement({2: Fraction(3, 8), 14: -Fraction(1, 8)}),
+}
+
+
 @dataclass
 class SingularModulus:
-    """The modulus k_n with its exact forms; `simplified` marks a result of the exact descent."""
+    """The modulus k_n, alpha = k^2 and its residual, with the exact forms of its route.
+
+    The routes in order: the exact descent sets `k_surd`, `k_product`,
+    `g_product` and `witness`, a closed form only `k_surd`, a numeric k none.
+    `simplified` is derived: True when the witness is set.
+    """
 
     n: int
     k_numeric: mp.mpf
@@ -273,35 +285,32 @@ class SingularModulus:
     k_product: UnitProduct | None = None
     g_product: UnitProduct | None = None
     witness: DescentWitness | None = None
-    simplified: bool = False
+
+    @property
+    def simplified(self) -> bool:
+        """True for a result of the exact descent, whose k is reduced to units."""
+        return self.witness is not None
 
 
 def verify_ratio(alpha, n, prec: int = 50):
     """Residual F(1 - alpha)/F(alpha) - sqrt(n), via AGM elliptic integrals."""
     with highprec.working_precision(prec):
-        if isinstance(alpha, SurdElement):
-            alpha = alpha.evalf()
-        elif isinstance(alpha, Fraction):
-            alpha = mp.mpf(alpha.numerator) / alpha.denominator
-        return highprec.verify_ratio_value(mp.mpf(alpha), prec) - mp.sqrt(n)
+        return highprec.verify_ratio_value(alpha, prec) - mp.sqrt(n)
+
+
+def _result(n: int, k, prec: int, **exact) -> SingularModulus:
+    """The one builder of a SingularModulus: numeric k in the caller's precision, k^2, residual."""
+    alpha = k * k
+    return SingularModulus(n, k, alpha, verify_ratio(alpha, n, prec), **exact)
 
 
 def small_modulus(n: int, prec: int = 50) -> SingularModulus:
     """Closed forms from the modular equations of degrees 2, 3, 7."""
-    quarter = Fraction(1, 4)
-    if n == 2:
-        k = SurdElement({1: -1, 2: 1})
-    elif n == 3:
-        k = SurdElement({6: quarter, 2: -quarter})
-    elif n == 7:
-        k = SurdElement({2: Fraction(3, 8), 14: -Fraction(1, 8)})
-    else:
+    if n not in _CLOSED_FORMS:
         raise ValueError(f"no small closed form for n = {n}")
+    k = _CLOSED_FORMS[n]
     with highprec.working_precision(prec):
-        kv = k.evalf()
-        av = kv * kv
-        res = verify_ratio(av, n, prec)
-    return SingularModulus(n, kv, av, res, k_surd=k)
+        return _result(n, k.evalf(), prec, k_surd=k)
 
 
 def is_convenient(n: int) -> bool:
@@ -309,62 +318,42 @@ def is_convenient(n: int) -> bool:
 
     These are the n the exact descent covers: below 3000 exactly the 15
     idoneal n = 2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462.
-    The scan stops at the first non-diagonal reduced form.
+    The forms scan stops at the first non-diagonal reduced form, before the
+    squarefree test trial-divides.
     """
     return (
         n > 0
         and n % 2 == 0
         and (n // 2) % 2 == 1
-        and arith.is_squarefree(n // 2)
         and all(F.b == 0 for F in qforms.iter_reduced_forms(-4 * n))
+        and arith.is_squarefree(n // 2)
     )
 
 
 def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     """The modulus with K(k')/K(k) = sqrt(n); exact where n is convenient.
 
-    n = 3 and n = 7 use their closed forms.  For the convenient n (see
-    `is_convenient`) the full chain runs once, with no retry: exact g^12 from
-    the unit product for g_n, its radicand-parity split (`subgroup_splits`),
-    the a, b, c, d quartet with the halves rule of `_quartet`, exact root
-    verification, and reduction of the four factors to fundamental units;
-    NotASquareError is raised if any exact root is missing.  There k_numeric
-    is -1/x2, where x2 = -1/k is minus the product of the four sum factors
-    sqrt(X) + sqrt(X - 1): a large value, not a small difference of large
-    terms.  Every other n is numeric: k from theta sums (`highprec.k_numeric`),
-    its ratio residual below 10^(10 - prec).  ValueError for prec < 1.
+    The route is picked in this order.  A convenient n (see `is_convenient`,
+    n = 2 included) takes the exact descent, run once with no retry: exact
+    g^12 from the unit product for g_n, its radicand-parity split
+    (`subgroup_splits`), the a, b, c, d quartet with the halves rule of
+    `_quartet`, exact root verification, and reduction of the four factors to
+    fundamental units; NotASquareError is raised if any exact root is missing.
+    There k_numeric is -1/x2, where x2 = -1/k is minus the product of the four
+    sum factors sqrt(X) + sqrt(X - 1): a large value, not a small difference of
+    large terms.  n = 3 and 7 take their closed forms (`small_modulus`).  Every
+    other n is numeric: k from theta sums (`highprec.k_numeric`), its ratio
+    residual below 10^(10 - prec).  Every route ends in `_result`, and
+    `simplified` is derived from the witness.  ValueError for prec < 1.
     """
-    if prec < 1:
-        raise ValueError(f"precision must be at least 1 digit, got {prec}")
-    if n in (3, 7):
-        return small_modulus(n, prec)
-    if not is_convenient(n):
-        return _numeric_modulus(n, prec)
-    g_product, _ = weber.g2n(n // 2, max(prec, 60))
-    g12 = (g_product**12).expand_exact()
-    s1, s2 = subgroup_splits(g12)
-    x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=tuple(arith.factorize(2 * n)))
-    k_product = factor_into_units(factors)
     with highprec.working_precision(prec):
-        kv = -1 / x2.evalf()
-        av = kv * kv
-        res = verify_ratio(av, n, prec)
-    return SingularModulus(
-        n,
-        kv,
-        av,
-        res,
-        k_surd=x1,
-        k_product=k_product,
-        g_product=g_product,
-        witness=witness,
-        simplified=True,
-    )
-
-
-def _numeric_modulus(n, prec: int = 50) -> SingularModulus:
-    """Numeric-only modulus: k from theta sums, checked by the AGM ratio."""
-    with highprec.working_precision(prec):
-        k = highprec.k_numeric(n, prec)
-        res = verify_ratio(k * k, n, prec)
-        return SingularModulus(n, k, k * k, res)
+        if is_convenient(n):
+            g_product, _ = weber.g2n(n // 2, max(prec, 60))
+            s1, s2 = subgroup_splits((g_product**12).expand_exact())
+            x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=tuple(arith.factorize(2 * n)))
+            k_product = factor_into_units(factors)
+            exact = dict(k_surd=x1, k_product=k_product, g_product=g_product, witness=witness)
+            return _result(n, -1 / x2.evalf(), prec, **exact)
+        if n in _CLOSED_FORMS:
+            return small_modulus(n, prec)
+        return _result(n, highprec.k_numeric(n, prec), prec)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qforms
+from .surd import SurdElement
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ def solve_even_pell(delta: int) -> PellSolution:
     return PellSolution(delta, abs(g.r + g.u), abs(g.s) * (1 if D == delta else 2))
 
 
-def unit_value(sol: PellSolution):
-    """The unit (T + U sqrt(delta))/2 as an exact surd with squarefree radicand."""
-    from . import arith
-    from .surd import SurdElement
-
-    s, d = arith.squarefree_decompose(sol.delta)
-    return SurdElement({1: Fraction(sol.T, 2), d: Fraction(sol.U * s, 2)})
+def unit_value(sol: PellSolution) -> SurdElement:
+    """The unit (T + U sqrt(delta))/2 as an exact surd; the constructor reduces the radicand."""
+    return SurdElement({1: Fraction(sol.T, 2), sol.delta: Fraction(sol.U, 2)})

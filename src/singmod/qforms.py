@@ -132,22 +132,12 @@ def iter_reduced_forms(disc: int):
         raise ValueError(f"discriminant must be 0 or 1 mod 4, got {disc}")
     a_max = math.isqrt(-disc // 3)
     for a in range(1, a_max + 1):
-        for b in range(-a, a + 1):
-            if (b - disc) % 2 != 0:
-                continue
+        for b in range(-a + (a + disc) % 2, a + 1, 2):  # b = disc mod 2
             num = b * b - disc
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if abs(b) == a and b != a:
-                continue
-            if a == c and b < 0:
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            yield QuadForm(a, b, c)
+            if num % (4 * a) == 0:
+                F = QuadForm(a, b, num // (4 * a))
+                if F.is_reduced() and math.gcd(a, b, F.c) == 1:
+                    yield F
 
 
 def reduced_forms(disc: int) -> list[QuadForm]:

@@ -43,6 +43,11 @@ class SurdElement:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
+        """From an int, a Fraction or a {radicand: coefficient} dict.
+
+        Radicands are reduced by trial division, which stops by 10^6 below the
+        limit 10^12; a radicand outside [1, 10^12) raises ValueError.
+        """
         self._hash = None
         if isinstance(terms, (int, Fraction)):
             self._terms = {1: Fraction(terms)} if terms else {}
@@ -52,8 +57,8 @@ class SurdElement:
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
-            if rad < 1:
-                raise ValueError(f"radicand must be positive, got {rad}")
+            if not 1 <= rad < 10**12:
+                raise ValueError(f"radicand must lie in [1, 10^12), got {rad}")
             s, d = arith.squarefree_decompose(rad)
             clean[d] = clean.get(d, Fraction(0)) + coef * s
         self._terms = {d: c for d, c in sorted(clean.items()) if c != 0}
@@ -193,10 +198,7 @@ class SurdElement:
 
     def evalf(self):
         """Numeric value under the identity embedding."""
-        total = mp.mpf(0)
-        for d, c in self._terms.items():
-            total += mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
-        return total
+        return self.embed({})
 
     def embed(self, signs: dict[int, int]):
         """Numeric value with sqrt(p) -> signs[p]*sqrt(p) for each generator prime."""
@@ -214,19 +216,15 @@ class SurdElement:
         return _sign_in_tower(self, self.prime_support())
 
     def __lt__(self, other):
-        other = other if isinstance(other, SurdElement) else SurdElement(other)
         return (self - other).sign() < 0
 
     def __le__(self, other):
-        other = other if isinstance(other, SurdElement) else SurdElement(other)
         return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        other = other if isinstance(other, SurdElement) else SurdElement(other)
         return (self - other).sign() > 0
 
     def __ge__(self, other):
-        other = other if isinstance(other, SurdElement) else SurdElement(other)
         return (self - other).sign() >= 0
 
     # -- rendering --------------------------------------------------------

@@ -137,6 +137,37 @@ def test_witness_verifies_for_every_convenient_n():
         assert not dataclasses.replace(w, d=w.d + 1).verify(), n
 
 
+def test_witness_rejects_a_doctored_split(k30):
+    w = k30.witness
+    assert not dataclasses.replace(w, s1=w.s1 + 1).verify()  # alpha beta != s1^2
+    assert not dataclasses.replace(w, s2=w.s2 + 1).verify()  # (alpha + 1)(beta - 1) != s2^2
+
+
+def test_route_order_and_derived_simplified():
+    # a convenient n takes the descent before the closed-form table, so n = 2 is exact
+    assert "simplified" not in {f.name for f in dataclasses.fields(modulus.SingularModulus)}
+    routes = {}
+    for n in (2, 3, 5, 7, 30):
+        sm = modulus.singular_modulus(n, 40)
+        assert sm.simplified == (sm.witness is not None), n
+        with mp.workdps(40 + highprec.GUARD):
+            assert sm.alpha_numeric == sm.k_numeric**2, n
+        assert abs(sm.ratio_residual) < mp.mpf("1e-30"), n
+        routes[n] = "exact" if sm.simplified else "closed" if sm.k_surd is not None else "numeric"
+    assert routes == {2: "exact", 3: "closed", 5: "numeric", 7: "closed", 30: "exact"}
+    assert not dataclasses.replace(modulus.singular_modulus(30, 40), witness=None).simplified
+
+
+def test_large_non_convenient_n_is_fast():
+    # the forms scan rejects 2p at once; trial division of p = 10^17 + 3 would take about 20 s
+    n = 2 * 100000000000000003
+    start = time.perf_counter()
+    sm = modulus.singular_modulus(n, 50)
+    assert time.perf_counter() - start < 1
+    assert sm.k_surd is None and not sm.simplified
+    assert 0 < sm.k_numeric < mp.mpf("1e-305000000")
+
+
 # str(k_product) and the witness a, b, c, d of every convenient n, pinned from
 # the descent as it stood before the split and the halves were fixed by rule
 DESCENT_PINS = {
@@ -509,7 +540,8 @@ def test_descent_k_numeric_keeps_every_digit():
 
 def test_verify_ratio_trivia():
     assert abs(modulus.verify_ratio(mp.mpf(0.5), 1, 40)) < mp.mpf("1e-35")
-    alpha2 = SurdElement({1: 3, 2: -2})  # (sqrt(2)-1)^2
+    with mp.workdps(52):
+        alpha2 = SurdElement({1: 3, 2: -2}).evalf()  # (sqrt(2)-1)^2
     assert abs(modulus.verify_ratio(alpha2, 2, 40)) < mp.mpf("1e-35")
 
 

@@ -340,6 +340,29 @@ def test_unit_product_basics():
         val = prod.value()
         expect = (4 - mp.sqrt(15)) ** 2 * (8 - 3 * mp.sqrt(7))
         assert abs(val - expect) < mp.mpf("1e-25")
+    assert UnitProduct([(base, 1), (base, 2)]).factors == [(base, Fraction(3))]
+
+
+def test_reflected_operators_and_order():
+    x = parse_surd("1 + sqrt(2)")
+    assert 1 - x == -(x - 1)
+    assert Fraction(1, 2) / x == x.inverse() / 2
+    assert x >= x and x >= 2 and not x >= 3
+    assert Fraction(5, 2) >= x and not 2 >= x
+
+
+def test_radicand_limit():
+    # trial division would take seconds for the first radicand and never end for the second
+    for make in (lambda: parse_surd("sqrt(10000001400000049)"), lambda: SurdElement({(2**61 - 1) ** 2: 1})):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="radicand"):
+            make()
+        assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="radicand"):
+        SurdElement({10**12: 1})
+    start = time.perf_counter()
+    assert SurdElement({999999999989: 2}).terms == {999999999989: 2}  # the largest prime below 10^12
+    assert time.perf_counter() - start < 1
 
 
 def test_unit_product_fractional_exponent_value():
