@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import arith, highprec, pell, qforms, weber
+from . import arith, highprec, pell, weber
 from .surd import (
     NotASquareError,
     SurdElement,
@@ -313,27 +313,10 @@ def small_modulus(n: int, prec: int = 50) -> SingularModulus:
         return _result(n, k.evalf(), prec, k_surd=k)
 
 
-def is_convenient(n: int) -> bool:
-    """True for n = 2 * (odd squarefree) with every reduced form of -4n diagonal.
-
-    These are the n the exact descent covers: below 3000 exactly the 15
-    idoneal n = 2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130, 190, 210, 330, 462.
-    The forms scan stops at the first non-diagonal reduced form, before the
-    squarefree test trial-divides.
-    """
-    return (
-        n > 0
-        and n % 2 == 0
-        and (n // 2) % 2 == 1
-        and all(F.b == 0 for F in qforms.iter_reduced_forms(-4 * n))
-        and arith.is_squarefree(n // 2)
-    )
-
-
 def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     """The modulus with K(k')/K(k) = sqrt(n); exact where n is convenient.
 
-    The route is picked in this order.  A convenient n (see `is_convenient`,
+    The route is picked in this order.  A convenient n (see `weber.is_convenient`,
     n = 2 included) takes the exact descent, run once with no retry: exact
     g^12 from the unit product for g_n, its radicand-parity split
     (`subgroup_splits`), the a, b, c, d quartet with the halves rule of
@@ -347,8 +330,8 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     `simplified` is derived from the witness.  ValueError for prec < 1.
     """
     with highprec.working_precision(prec):
-        if is_convenient(n):
-            g_product, _ = weber.g2n(n // 2, max(prec, 60))
+        if weber.is_convenient(n):
+            g_product, _ = weber.g2n(n // 2, prec)
             s1, s2 = subgroup_splits((g_product**12).expand_exact())
             x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=tuple(arith.factorize(2 * n)))
             k_product = factor_into_units(factors)

@@ -1,9 +1,9 @@
 """The g_{2n} engine: weighted sums over form classes and the product formula.
 
-For m = 2n = 2 * (product of t distinct odd primes) with every reduced form of
-determinant m diagonal, the surviving weighted sums pair each odd fundamental
-discriminant delta = 5 mod 8 dividing m with its complement delta' = -4m/delta
-and yield
+For a convenient m = 2n (`is_convenient`: 2 * (product of t distinct odd
+primes) with every reduced form of determinant m diagonal), the surviving
+weighted sums pair each odd fundamental discriminant delta = 5 mod 8 dividing m
+with its complement delta' = -4m/delta and yield
 
     g_m ** (2h) = prod over survivors of eps(delta_+) ** (K(delta) K(delta'))
 
@@ -34,23 +34,31 @@ class DiscPair:
     def positive(self) -> int:
         return self.delta if self.delta > 0 else self.delta_prime
 
-    @property
-    def negative(self) -> int:
-        return self.delta if self.delta < 0 else self.delta_prime
+
+def is_convenient(m: int) -> bool:
+    """True for m = 2 * (odd squarefree) with every reduced form of -4m diagonal.
+
+    These are the m the product formula and the exact descent cover: below
+    3000 exactly the 15 idoneal m = 2, 6, 10, 22, 30, 42, 58, 70, 78, 102, 130,
+    190, 210, 330, 462.  The forms scan stops at the first non-diagonal reduced
+    form, before the squarefree test trial-divides.
+    """
+    return (
+        m > 0
+        and m % 4 == 2
+        and all(F.b == 0 for F in qforms.iter_reduced_forms(-4 * m))
+        and arith.is_squarefree(m // 2)
+    )
 
 
 def _check_m(m: int) -> None:
-    if m < 2 or m % 2 or not arith.is_squarefree(m):
-        raise ValueError(f"need m = 2 * product of distinct odd primes, got {m}")
+    if not is_convenient(m):
+        raise ValueError(f"need m = 2 * distinct odd primes with only diagonal forms of -4m, got {m}")
 
 
 def disc_pairs(m: int) -> list[DiscPair]:
     """All 2^t pairs (delta, delta') with delta odd fundamental, delta*delta' = -4m."""
-    _check_m(m)
-    pairs = []
-    for delta in arith.fundamental_discriminants_dividing(-4 * m):
-        pairs.append(DiscPair(delta, -4 * m // delta))
-    return pairs
+    return [DiscPair(d, -4 * m // d) for d in arith.fundamental_discriminants_dividing(-4 * m)]
 
 
 @dataclass
@@ -61,11 +69,6 @@ class SurvivingSum:
     pair: DiscPair
     coefficients: dict[int, int] = field(default_factory=dict)  # odd A -> +-2
 
-    def k_product(self) -> Fraction:
-        return qforms.weighted_class_number(self.delta) * qforms.weighted_class_number(
-            self.pair.delta_prime
-        )
-
 
 def surviving_sums(m: int) -> list[SurvivingSum]:
     """The weighted sums that survive the first cancellation: (2/delta) = -1.
@@ -73,39 +76,27 @@ def surviving_sums(m: int) -> list[SurvivingSum]:
     The coefficient of ln g_{m/A^2} in the sum for delta is
     chi(delta, Q) - chi(delta, Q') = 2 chi(delta, Q) over the pair with odd A.
     """
-    _check_m(m)
-    return _survivors(m, qforms.homologue_pairs(qforms.reduced_forms(-4 * m)))
-
-
-def _survivors(m: int, pairs) -> list[SurvivingSum]:
-    """`surviving_sums` over the given homologue pairs of the reduced forms of -4m."""
-    out = []
-    for dp in disc_pairs(m):
-        if arith.kronecker(2, dp.delta) != -1:
-            continue
-        coeffs = {}
-        for Q, Qp in pairs:
-            coeffs[Q.a] = qforms.chi(dp.delta, Q) - qforms.chi(dp.delta, Qp)
-        out.append(SurvivingSum(dp.delta, dp, coeffs))
-    return out
+    return weighted_sum_table(m)["survivors"]
 
 
 def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
     """Weber's invariant g_{2n} as an exact unit product and a numeric value.
 
-    The numeric value of the product is cross-checked against the theta
-    series of `highprec.gn_numeric`; disagreement raises ArithmeticError.
+    The product runs over the pairs with (2/delta) = -1; the weighted sums of
+    the other pairs cancel.  Its numeric value is cross-checked against the
+    theta series of `highprec.gn_numeric`; disagreement raises ArithmeticError.
     """
     m = 2 * n
     _check_m(m)
     with highprec.working_precision(prec):  # rejects prec < 1 before the exact work
-        forms = qforms.reduced_forms(-4 * m)
-        h = len(forms)
+        h = qforms.class_number(-4 * m)
         product = UnitProduct()
-        for s in _survivors(m, qforms.homologue_pairs(forms)):
-            sol = pell.solve_even_pell(s.pair.positive)
-            eps = pell.unit_value(sol)
-            product = product * UnitProduct([(eps, Fraction(s.k_product(), 2 * h))])
+        for dp in disc_pairs(m):
+            if arith.kronecker(2, dp.delta) != -1:
+                continue
+            eps = pell.unit_value(pell.solve_even_pell(dp.positive))
+            k = qforms.weighted_class_number(dp.delta) * qforms.weighted_class_number(dp.delta_prime)
+            product = product * UnitProduct([(eps, Fraction(k, 2 * h))])
         value = product.value()
         check = highprec.gn_numeric(m, prec)
         if abs(value - check) > abs(check) * mp.mpf(10) ** (8 - prec):
@@ -137,10 +128,15 @@ def weighted_sum_table(m: int) -> dict:
     differences = {}
     for d in deltas:
         differences[d] = {Q.a: qforms.chi(d, Q) - qforms.chi(d, Qp) for Q, Qp in pairs}
+    survivors = [
+        SurvivingSum(dp.delta, dp, differences[dp.delta])
+        for dp in disc_pairs(m)
+        if arith.kronecker(2, dp.delta) == -1
+    ]
     return {
         "m": m,
         "deltas": deltas,
         "rows": rows,
         "differences": differences,
-        "survivors": _survivors(m, pairs),
+        "survivors": survivors,
     }

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -192,6 +193,22 @@ def test_forms_invalid_disc(capsys):
     code, _, err = run(capsys, ["forms", "--disc", "5"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["g2n", "--n", "100000000000000003"],
+        ["tables", "--m", "200000000000000006"],
+        ["g2n", "--n", "195"],
+        ["tables", "--m", "390"],
+    ],
+)
+def test_non_convenient_m_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "error" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_usage_error_exit_code(capsys):

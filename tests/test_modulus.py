@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singmod import arith, highprec, modulus, pell, qforms
+from singmod import arith, highprec, modulus, pell
 from singmod.surd import NotASquareError, SurdElement, UnitProduct, exact_sqrt, field_norm, parse_surd
 
 K210_FACTORS = {
@@ -518,14 +518,6 @@ def test_singular_modulus_sweep_reaches_the_precision():
 @example(10**6, 200)
 def test_singular_modulus_reaches_any_precision(n, prec):
     _assert_numeric_answer(modulus.singular_modulus(n, prec), n, prec)
-
-
-def test_convenience_test_picks_the_fifteen():
-    assert tuple(n for n in range(1, 3001) if modulus.is_convenient(n)) == CONVENIENT
-    for n in range(2, 3001, 4):
-        if arith.is_squarefree(n // 2):
-            diagonal = all(F.b == 0 for F in qforms.reduced_forms(-4 * n))
-            assert modulus.is_convenient(n) == diagonal, n
 
 
 def test_descent_k_numeric_keeps_every_digit():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -179,17 +180,17 @@ def test_weighted_sum_table_30_shape():
         assert row["chi"] == {d: qforms.chi(d, F) for d in data["deltas"]}
 
 
+G210_FACTORS = {
+    "251 + 30*sqrt(70)": Fraction(1, 12),
+    "3/2 + 1/2*sqrt(5)": Fraction(1, 4),
+    "5/2 + 1/2*sqrt(21)": Fraction(1, 4),
+    "5 + 2*sqrt(6)": Fraction(1, 4),
+}
+
+
 def test_g210_exact_product(g210):
     product, value = g210
-    exps = {}
-    for base, exp in product.factors:
-        exps[str(base)] = exp
-    assert exps == {
-        "251 + 30*sqrt(70)": Fraction(1, 12),
-        "3/2 + 1/2*sqrt(5)": Fraction(1, 4),
-        "5/2 + 1/2*sqrt(21)": Fraction(1, 4),
-        "5 + 2*sqrt(6)": Fraction(1, 4),
-    }
+    assert {str(base): exp for base, exp in product.factors} == G210_FACTORS
     assert product.all_unit_norms()
 
 
@@ -260,3 +261,41 @@ def test_g2n_reduces_the_forms_once(monkeypatch):
     weber.g2n(105, 60)
     # the other calls are the class numbers of the negative discriminants delta
     assert calls.count(-840) == 1, calls
+
+
+def test_g2n_builds_no_homologue_table(monkeypatch):
+    # the survivors come from the pairs with (2/delta) = -1, not from chi over homologues
+    def unreachable(*args):
+        raise AssertionError(f"homologue table built from {args}")
+
+    monkeypatch.setattr(qforms, "homologue_pairs", unreachable)
+    monkeypatch.setattr(qforms, "chi", unreachable)
+    product, _ = weber.g2n(105, 60)
+    assert {str(base): exp for base, exp in product.factors} == G210_FACTORS
+
+
+def test_convenience_test_picks_the_fifteen():
+    assert tuple(m for m in range(1, 3001) if weber.is_convenient(m)) == CONVENIENT
+    for m in range(2, 3001, 4):
+        if arith.is_squarefree(m // 2):
+            diagonal = all(F.b == 0 for F in qforms.reduced_forms(-4 * m))
+            assert weber.is_convenient(m) == diagonal, m
+
+
+# 2 * (10^17 + 3) has the reduced form (3, 2, (1 + m)/3) and 390 = 2 * 3 * 5 * 13
+# has (7, -6, 57): the forms scan rejects both before any trial division
+@pytest.mark.parametrize("m", [2 * (10**17 + 3), 390])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda m: weber.g2n(m // 2, 60), weber.surviving_sums, weber.weighted_sum_table],
+    ids=["g2n", "surviving_sums", "weighted_sum_table"],
+)
+def test_non_convenient_m_is_rejected_at_once(monkeypatch, entry, m):
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(arith, "squarefree_decompose", no_trial_division)
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        entry(m)
+    assert time.perf_counter() - start < 1
