@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n."""
@@ -60,7 +58,11 @@ def divisors(n: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs in scope are < 10**6)."""
+    """Prime factorization by trial division up to the square root of the cofactor.
+
+    The checked `SurdElement` constructor passes radicands below 10**12, so
+    its divisions stop below 10**6.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors: dict[int, int] = {}
@@ -129,7 +131,3 @@ def fundamental_discriminants_dividing(D: int) -> list[int]:
     out = [_signed_one_mod_four(d) for d in divisors(P)]
     out.sort(key=abs)
     return out
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)

@@ -36,22 +36,13 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
-def agm(a, b, prec: int = 50):
-    """Arithmetic-geometric mean of nonnegative a, b."""
-    with working_precision(prec):
-        x, y = _to_mpf(a), _to_mpf(b)
-        if x < 0 or y < 0:
-            raise ValueError("agm needs nonnegative arguments")
-        return mp.agm(x, y)
-
-
 def ell_K(k, prec: int = 50):
     """Complete elliptic integral K(k) = pi / (2 agm(1, sqrt(1 - k^2)))."""
     with working_precision(prec):
         k = _to_mpf(k)
         if not 0 <= k < 1:
             raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-        return mp.pi / (2 * agm(mp.mpf(1), mp.sqrt(1 - k * k), prec))
+        return mp.pi / (2 * mp.agm(1, mp.sqrt(1 - k * k)))
 
 
 def F_series(alpha, prec: int = 50):

@@ -258,11 +258,10 @@ def factor_into_units(product: UnitProduct) -> UnitProduct:
     return out
 
 
-# -- closed forms for n = 2, 3, 7 and the full pipeline ----------------------
+# -- closed forms for n = 3, 7 and the full pipeline -------------------------
 
 
 _CLOSED_FORMS = {
-    2: SurdElement({1: -1, 2: 1}),
     3: SurdElement({6: Fraction(1, 4), 2: -Fraction(1, 4)}),
     7: SurdElement({2: Fraction(3, 8), 14: -Fraction(1, 8)}),
 }
@@ -292,25 +291,15 @@ class SingularModulus:
         return self.witness is not None
 
 
-def verify_ratio(alpha, n, prec: int = 50):
-    """Residual F(1 - alpha)/F(alpha) - sqrt(n), via AGM elliptic integrals."""
-    with highprec.working_precision(prec):
-        return highprec.verify_ratio_value(alpha, prec) - mp.sqrt(n)
-
-
 def _result(n: int, k, prec: int, **exact) -> SingularModulus:
-    """The one builder of a SingularModulus: numeric k in the caller's precision, k^2, residual."""
+    """The one builder of a SingularModulus: numeric k, k^2 and the AGM ratio residual.
+
+    Called inside `singular_modulus`'s working precision, so k, alpha and the
+    residual F(1 - alpha)/F(alpha) - sqrt(n) all carry its guard digits.
+    """
     alpha = k * k
-    return SingularModulus(n, k, alpha, verify_ratio(alpha, n, prec), **exact)
-
-
-def small_modulus(n: int, prec: int = 50) -> SingularModulus:
-    """Closed forms from the modular equations of degrees 2, 3, 7."""
-    if n not in _CLOSED_FORMS:
-        raise ValueError(f"no small closed form for n = {n}")
-    k = _CLOSED_FORMS[n]
-    with highprec.working_precision(prec):
-        return _result(n, k.evalf(), prec, k_surd=k)
+    residual = highprec.verify_ratio_value(alpha, prec) - mp.sqrt(n)
+    return SingularModulus(n, k, alpha, residual, **exact)
 
 
 def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
@@ -324,7 +313,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     fundamental units; NotASquareError is raised if any exact root is missing.
     There k_numeric is -1/x2, where x2 = -1/k is minus the product of the four
     sum factors sqrt(X) + sqrt(X - 1): a large value, not a small difference of
-    large terms.  n = 3 and 7 take their closed forms (`small_modulus`).  Every
+    large terms.  n = 3 and 7 take their closed forms (`_CLOSED_FORMS`).  Every
     other n is numeric: k from theta sums (`highprec.k_numeric`), its ratio
     residual below 10^(10 - prec).  Every route ends in `_result`, and
     `simplified` is derived from the witness.  ValueError for prec < 1.
@@ -338,5 +327,6 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
             exact = dict(k_surd=x1, k_product=k_product, g_product=g_product, witness=witness)
             return _result(n, -1 / x2.evalf(), prec, **exact)
         if n in _CLOSED_FORMS:
-            return small_modulus(n, prec)
+            k = _CLOSED_FORMS[n]
+            return _result(n, k.evalf(), prec, k_surd=k)
         return _result(n, highprec.k_numeric(n, prec), prec)

@@ -40,7 +40,7 @@ def _as_fraction(value) -> Fraction:
 class SurdElement:
     """Immutable exact element of a multiquadratic field."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         """From an int, a Fraction or a {radicand: coefficient} dict.
@@ -48,7 +48,6 @@ class SurdElement:
         Radicands are reduced by trial division, which stops by 10^6 below the
         limit 10^12; a radicand outside [1, 10^12) raises ValueError.
         """
-        self._hash = None
         if isinstance(terms, (int, Fraction)):
             self._terms = {1: Fraction(terms)} if terms else {}
             return
@@ -68,7 +67,6 @@ class SurdElement:
         """Build from squarefree radicands and Fraction coefficients, unchecked."""
         self = cls.__new__(cls)
         self._terms = {d: c for d, c in sorted(terms.items()) if c != 0}
-        self._hash = None
         return self
 
     # -- basic structure -------------------------------------------------
@@ -108,9 +106,10 @@ class SurdElement:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(self._terms.items()))
-        return self._hash
+        """A rational element hashes as its rational_part, since it equals that number."""
+        if self.is_rational():
+            return hash(self.rational_part)
+        return hash(tuple(self._terms.items()))
 
     # -- arithmetic ------------------------------------------------------
 

@@ -63,20 +63,15 @@ def disc_pairs(m: int) -> list[DiscPair]:
 
 @dataclass
 class SurvivingSum:
-    """One surviving weighted sum: coefficients of ln g_{m/A^2} per pair."""
-
-    delta: int
-    pair: DiscPair
-    coefficients: dict[int, int] = field(default_factory=dict)  # odd A -> +-2
-
-
-def surviving_sums(m: int) -> list[SurvivingSum]:
-    """The weighted sums that survive the first cancellation: (2/delta) = -1.
+    """One weighted sum that survives the first cancellation: (2/delta) = -1.
 
     The coefficient of ln g_{m/A^2} in the sum for delta is
     chi(delta, Q) - chi(delta, Q') = 2 chi(delta, Q) over the pair with odd A.
     """
-    return weighted_sum_table(m)["survivors"]
+
+    delta: int
+    pair: DiscPair
+    coefficients: dict[int, int] = field(default_factory=dict)  # odd A -> +-2
 
 
 def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
@@ -89,9 +84,10 @@ def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
     m = 2 * n
     _check_m(m)
     with highprec.working_precision(prec):  # rejects prec < 1 before the exact work
-        h = qforms.class_number(-4 * m)
+        pairs = disc_pairs(m)
+        h = len(pairs)  # every form of -4m is diagonal, so each class is its own genus: h = 2^t
         product = UnitProduct()
-        for dp in disc_pairs(m):
+        for dp in pairs:
             if arith.kronecker(2, dp.delta) != -1:
                 continue
             eps = pell.unit_value(pell.solve_even_pell(dp.positive))

@@ -144,9 +144,9 @@ def test_criterion_07_k210_pipeline(capsys, k210, k30):
     assert sig30 == {"5 - 2*sqrt(6)": 1, "4 - sqrt(15)": 1, "sqrt(6) - sqrt(5)": 1, "2 - sqrt(3)": 1}
     k2 = modulus.singular_modulus(2, 50)
     assert k2.k_surd == parse_surd("sqrt(2) - 1")
-    a3 = modulus.small_modulus(3, 50)
+    a3 = modulus.singular_modulus(3, 50)
     assert a3.k_surd * a3.k_surd == SurdElement({1: Fraction(1, 2), 3: -Fraction(1, 4)})
-    a7 = modulus.small_modulus(7, 50)
+    a7 = modulus.singular_modulus(7, 50)
     assert a7.k_surd * a7.k_surd == SurdElement({1: Fraction(1, 2), 7: -Fraction(3, 16)})
     with capsys.disabled():
         report(7, "k_210 equals the eight-factor unit product; ratio residual < 1e-30; k_30, k_2, a_3, a_7 reproduced")
@@ -220,7 +220,7 @@ def test_criterion_12_cancellations(capsys):
     for F in forms:
         total = sum(qforms.chi(d, F) for d in deltas)
         assert total == (8 if (F.a, F.c) == (1, 210) else 0)
-    survivors = weber.surviving_sums(210)
+    survivors = weber.weighted_sum_table(210)["survivors"]
     summed = {}
     for s in survivors:
         for a, c in s.coefficients.items():

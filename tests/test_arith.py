@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -84,7 +85,7 @@ def test_reciprocity_shift_identity():
             continue
         q = abs(delta)
         for M in range(3, 500, 2):
-            if M % q == 2 % q and arith.gcd(M, q) == 1:
+            if M % q == 2 % q and math.gcd(M, q) == 1:
                 assert arith.jacobi(delta, M) == arith.kronecker(2, delta)
 
 

@@ -458,12 +458,6 @@ def test_dirichlet_l_one_rejects_bad():
         hp.dirichlet_l_one(25)
 
 
-def test_agm_degenerate_zero():
-    assert hp.agm(1, 0, 30) == 0
-    with pytest.raises(ValueError):
-        hp.agm(-1, 2)
-
-
 def test_class_polynomial_complex_conjugate_classes():
     # classes with b != 0 come in conjugate pairs; the product is still integral
     assert hp.class_polynomial(-23, 120) == [1, 3491750, -5151296875, 12771880859375]
@@ -471,7 +465,6 @@ def test_class_polynomial_complex_conjugate_classes():
 
 
 PREC_ENTRY_POINTS = {
-    "agm": lambda p: hp.agm(1, 2, p),
     "ell_K": lambda p: hp.ell_K(mp.mpf("0.5"), p),
     "F_series": lambda p: hp.F_series(mp.mpf("0.5"), p),
     "verify_ratio_value": lambda p: hp.verify_ratio_value(mp.mpf("0.5"), p),
@@ -487,8 +480,7 @@ PREC_ENTRY_POINTS = {
     "verify_formula_g": lambda p: hp.verify_formula_g(1, 105, p),
     "weber.g2n": lambda p: weber.g2n(15, p),
     "modulus.k_from_g_numeric": lambda p: modulus.k_from_g_numeric(2, p),
-    "modulus.verify_ratio": lambda p: modulus.verify_ratio(mp.mpf("0.5"), 1, p),
-    "modulus.small_modulus": lambda p: modulus.small_modulus(2, p),
+    "modulus.singular_modulus": lambda p: modulus.singular_modulus(3, p),
 }
 
 

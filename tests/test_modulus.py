@@ -397,20 +397,20 @@ def test_factor_into_units_rebuilds_products_of_subfield_units(powers):
 
 
 def test_small_modulus_closed_forms():
-    k2 = modulus.small_modulus(2, 50)
+    # n = 2 by the descent, n = 3 and 7 by their closed forms
+    k2 = modulus.singular_modulus(2, 50)
     assert k2.k_surd == parse_surd("sqrt(2) - 1")
     assert abs(k2.ratio_residual) < mp.mpf("1e-30")
 
-    k3 = modulus.small_modulus(3, 50)
+    k3 = modulus.singular_modulus(3, 50)
     assert k3.k_surd * k3.k_surd == SurdElement({1: Fraction(1, 2), 3: -Fraction(1, 4)})
     assert abs(k3.ratio_residual) < mp.mpf("1e-30")
 
-    k7 = modulus.small_modulus(7, 50)
+    k7 = modulus.singular_modulus(7, 50)
     assert k7.k_surd * k7.k_surd == SurdElement({1: Fraction(1, 2), 7: -Fraction(3, 16)})
     assert abs(k7.ratio_residual) < mp.mpf("1e-30")
 
-    with pytest.raises(ValueError):
-        modulus.small_modulus(5)
+    assert modulus.singular_modulus(5, 50).k_surd is None
 
 
 def test_singular_modulus_dispatch_small():
@@ -423,8 +423,6 @@ def test_singular_modulus_dispatch_small():
 def test_singular_modulus_pipeline_k2():
     sm = modulus.singular_modulus(2, 50)
     assert sm.k_surd == parse_surd("sqrt(2) - 1")
-    small = modulus.small_modulus(2, 50)
-    assert sm.k_surd == small.k_surd
 
 
 def test_singular_modulus_k6_k10():
@@ -531,10 +529,10 @@ def test_descent_k_numeric_keeps_every_digit():
 
 
 def test_verify_ratio_trivia():
-    assert abs(modulus.verify_ratio(mp.mpf(0.5), 1, 40)) < mp.mpf("1e-35")
     with mp.workdps(52):
+        assert abs(highprec.verify_ratio_value(mp.mpf(0.5), 40) - 1) < mp.mpf("1e-35")
         alpha2 = SurdElement({1: 3, 2: -2}).evalf()  # (sqrt(2)-1)^2
-    assert abs(modulus.verify_ratio(alpha2, 2, 40)) < mp.mpf("1e-35")
+        assert abs(highprec.verify_ratio_value(alpha2, 40) - mp.sqrt(2)) < mp.mpf("1e-35")
 
 
 def test_ratio_monotone_on_grid():

@@ -83,9 +83,17 @@ def random_surd(rng: random.Random, rads=(1, 2, 3, 6), span=9) -> SurdElement:
 
 def test_canonical_form():
     assert SurdElement({8: 1}) == SurdElement({2: 2})
+    assert hash(SurdElement({8: 1})) == hash(SurdElement({2: 2}))
     assert SurdElement({12: Fraction(1, 2), 3: 1}) == SurdElement({3: 2})
     assert SurdElement({2: 0, 1: 5}) == SurdElement(5)
     assert SurdElement({18: 1, 2: -3}).is_zero()
+
+
+@pytest.mark.parametrize("q", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+def test_a_rational_element_hashes_as_its_number(q):
+    # SurdElement(q) == q, so the two must hash alike and find each other in a dict
+    assert hash(SurdElement(q)) == hash(q)
+    assert {SurdElement(q): 1}[q] == 1
 
 
 def test_product_of_conjugates():

@@ -113,6 +113,13 @@ def test_disc_pairs():
         assert (p.delta > 0) != (p.delta_prime > 0)
 
 
+def test_class_number_is_the_number_of_pairs():
+    # every form of -4m is diagonal, so each class is its own genus and h = 2^t
+    hs = [len(weber.disc_pairs(m)) for m in CONVENIENT]
+    assert hs == [qforms.class_number(-4 * m) for m in CONVENIENT]
+    assert sorted(set(hs)) == [1, 2, 4, 8]
+
+
 def test_disc_pairs_rejects_bad_shape():
     for m in (15, 12, 4, 60):
         with pytest.raises(ValueError):
@@ -120,7 +127,7 @@ def test_disc_pairs_rejects_bad_shape():
 
 
 def test_surviving_sums_210():
-    survivors = weber.surviving_sums(210)
+    survivors = weber.weighted_sum_table(210)["survivors"]
     assert [s.delta for s in survivors] == [-3, 5, 21, -35]
     for s in survivors:
         assert tuple(s.coefficients[a] for a in (1, 3, 5, 7)) == DIFFERENCES_210[s.delta]
@@ -129,7 +136,7 @@ def test_surviving_sums_210():
 
 
 def test_surviving_sums_30():
-    assert [s.delta for s in weber.surviving_sums(30)] == [-3, 5]
+    assert [s.delta for s in weber.weighted_sum_table(30)["survivors"]] == [-3, 5]
 
 
 def test_homologue_weight_relation():
@@ -143,7 +150,7 @@ def test_homologue_weight_relation():
 
 
 def test_survivor_coefficients_collapse():
-    survivors = weber.surviving_sums(210)
+    survivors = weber.weighted_sum_table(210)["survivors"]
     total = {}
     for s in survivors:
         for a, c in s.coefficients.items():
@@ -155,7 +162,7 @@ def test_weighted_sum_total_collapse_numeric():
     # sum of the four surviving sums equals (32 pi / sqrt(210)) ln g_210
     with mp.workdps(50):
         total = mp.mpf(0)
-        for s in weber.surviving_sums(210):
+        for s in weber.weighted_sum_table(210)["survivors"]:
             total += 4 * highprec.dirichlet_l_one(s.delta, 45) * highprec.dirichlet_l_one(s.pair.delta_prime, 45)
         rhs = 32 * mp.pi / mp.sqrt(210) * mp.log(highprec.gn_numeric(210, 45))
         assert abs(total - rhs) < mp.mpf("1e-30")
@@ -259,8 +266,10 @@ def test_g2n_reduces_the_forms_once(monkeypatch):
 
     monkeypatch.setattr(qforms, "reduced_forms", counting)
     weber.g2n(105, 60)
-    # the other calls are the class numbers of the negative discriminants delta
-    assert calls.count(-840) == 1, calls
+    # the one scan of -840 is the convenience test's lazy iter_reduced_forms,
+    # h comes from the discriminant pairs, and the other calls are the class
+    # numbers of the negative discriminants delta
+    assert calls.count(-840) == 0, calls
 
 
 def test_g2n_builds_no_homologue_table(monkeypatch):
@@ -287,8 +296,8 @@ def test_convenience_test_picks_the_fifteen():
 @pytest.mark.parametrize("m", [2 * (10**17 + 3), 390])
 @pytest.mark.parametrize(
     "entry",
-    [lambda m: weber.g2n(m // 2, 60), weber.surviving_sums, weber.weighted_sum_table],
-    ids=["g2n", "surviving_sums", "weighted_sum_table"],
+    [lambda m: weber.g2n(m // 2, 60), weber.weighted_sum_table],
+    ids=["g2n", "weighted_sum_table"],
 )
 def test_non_convenient_m_is_rejected_at_once(monkeypatch, entry, m):
     def no_trial_division(n):
