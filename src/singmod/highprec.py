@@ -66,17 +66,16 @@ def F_series(alpha, prec: int = 50):
         return total, bound
 
 
-def verify_ratio_value(alpha, prec: int = 50):
-    """F(1 - alpha)/F(alpha) = K(k')/K(k) = agm(1, k')/agm(1, k), k = sqrt(alpha).
+def verify_ratio_value(k, prec: int = 50):
+    """K(k')/K(k) = agm(1, k')/agm(1, k) = F(1 - alpha)/F(alpha), alpha = k^2.
 
-    The two square roots are taken straight from alpha and 1 - alpha, so
-    neither complement is formed by cancellation.
+    k' = sqrt(1 - k*k) is taken from 1 - alpha, and k enters the AGM as it is.
     """
     with working_precision(prec):
-        a = _to_mpf(alpha)
-        if not 0 < a < 1:
-            raise ValueError(f"ratio needs 0 < alpha < 1, got {a}")
-        return mp.agm(1, mp.sqrt(1 - a)) / mp.agm(1, mp.sqrt(a))
+        k = _to_mpf(k)
+        if not 0 < k < 1:
+            raise ValueError(f"ratio needs 0 < k < 1, got {k}")
+        return mp.agm(1, mp.sqrt(1 - k * k)) / mp.agm(1, k)
 
 
 def gn_numeric(n, prec: int = 50):

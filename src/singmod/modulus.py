@@ -206,14 +206,11 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
     r = len(primes)
     height = max(abs(c) * d for d, c in x.terms.items())
     # Every conjugate is below B <= 2^r * height and their product is +-1, so
-    # the smallest can be B^-(2^r - 1): embed then cancels this many digits.
+    # the smallest can be B^-(2^r - 1): its signed sum cancels this many digits.
     dps = (1 << r) * (len(str(math.ceil(height))) + r) + 20
     units = []
     with mp.workdps(dps):
-        logs = [
-            mp.log(abs(x.embed({p: -1 if s >> i & 1 else 1 for i, p in enumerate(primes)})))
-            for s in range(1 << r)
-        ]
+        logs = [mp.log(abs(v)) for v in x.embeddings(primes)]
         for mask in range(1, 1 << r):
             sub = tuple(p for i, p in enumerate(primes) if mask >> i & 1)
             d = math.prod(sub)
@@ -295,11 +292,10 @@ def _result(n: int, k, prec: int, **exact) -> SingularModulus:
     """The one builder of a SingularModulus: numeric k, k^2 and the AGM ratio residual.
 
     Called inside `singular_modulus`'s working precision, so k, alpha and the
-    residual F(1 - alpha)/F(alpha) - sqrt(n) all carry its guard digits.
+    residual K(k')/K(k) - sqrt(n) all carry its guard digits.
     """
-    alpha = k * k
-    residual = highprec.verify_ratio_value(alpha, prec) - mp.sqrt(n)
-    return SingularModulus(n, k, alpha, residual, **exact)
+    residual = highprec.verify_ratio_value(k, prec) - mp.sqrt(n)
+    return SingularModulus(n, k, k * k, residual, **exact)
 
 
 def singular_modulus(n: int, prec: int = 50) -> SingularModulus:

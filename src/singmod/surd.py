@@ -1,12 +1,15 @@
 """Exact arithmetic in real multiquadratic fields Q(sqrt(p1), ..., sqrt(pr)).
 
 Elements are finite sums  sum_d c_d * sqrt(d)  with squarefree radicands d >= 1
-and rational coefficients c_d (d = 1 is the rational part).  The representation
-is canonical -- radicands reduced to their squarefree kernel, zero coefficients
-dropped -- so equality is structural.  Square roots are exact: the classical
-denesting sqrt(a + b sqrt(p)) = y + b sqrt(p)/(2y), y^2 = (a +- sqrt(a^2 - p b^2))/2,
-recurses down the tower of quadratic extensions to integer square roots, with
-no numeric search.
+and rational coefficients c_d (d = 1 is the rational part).  An element is
+stored as one positive common denominator `_den` and a dict `_num` from
+radicand to integer numerator, c_d = _num[d] / _den.  The layout is canonical --
+radicands reduced to their squarefree kernel and sorted, no zero numerators,
+gcd(_den, every numerator) = 1 -- so equality is structural.  Every operation
+works on integers and reduces once, in `_build`.  Square roots are exact: the
+classical denesting sqrt(a + b sqrt(p)) = y + b sqrt(p)/(2y),
+y^2 = (a +- sqrt(a^2 - p b^2))/2, recurses down the tower of quadratic
+extensions to integer square roots, with no numeric search.
 """
 
 from __future__ import annotations
@@ -23,12 +26,6 @@ class NotASquareError(ArithmeticError):
     """Raised when no exact square root exists in the field considered."""
 
 
-def _red_mul(u: int, v: int) -> tuple[int, int]:
-    """sqrt(u)*sqrt(v) = g*sqrt(w) for squarefree u, v; returns (g, w)."""
-    g = math.gcd(u, v)
-    return g, (u // g) * (v // g)
-
-
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -40,7 +37,7 @@ def _as_fraction(value) -> Fraction:
 class SurdElement:
     """Immutable exact element of a multiquadratic field."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
         """From an int, a Fraction or a {radicand: coefficient} dict.
@@ -49,7 +46,8 @@ class SurdElement:
         limit 10^12; a radicand outside [1, 10^12) raises ValueError.
         """
         if isinstance(terms, (int, Fraction)):
-            self._terms = {1: Fraction(terms)} if terms else {}
+            self._num = {1: terms.numerator} if terms else {}
+            self._den = terms.denominator
             return
         clean: dict[int, Fraction] = {}
         for rad, coef in (terms or {}).items():
@@ -60,73 +58,89 @@ class SurdElement:
                 raise ValueError(f"radicand must lie in [1, 10^12), got {rad}")
             s, d = arith.squarefree_decompose(rad)
             clean[d] = clean.get(d, Fraction(0)) + coef * s
-        self._terms = {d: c for d, c in sorted(clean.items()) if c != 0}
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        canonical = SurdElement._build({d: c.numerator * (den // c.denominator) for d, c in clean.items()}, den)
+        self._num, self._den = canonical._num, canonical._den
 
     @classmethod
-    def _reduced(cls, terms: dict[int, Fraction]) -> "SurdElement":
-        """Build from squarefree radicands and Fraction coefficients, unchecked."""
+    def _build(cls, num: dict[int, int], den: int = 1) -> "SurdElement":
+        """From squarefree radicands and integer numerators over den > 0, unchecked.
+
+        The one reducer: drops zero numerators, sorts the radicands and divides
+        out gcd(den, numerators).
+        """
         self = cls.__new__(cls)
-        self._terms = {d: c for d, c in sorted(terms.items()) if c != 0}
+        num = {d: c for d, c in sorted(num.items()) if c}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {d: c // g for d, c in num.items()}
+        self._num = num
+        self._den = den
         return self
 
     # -- basic structure -------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {d: Fraction(c, self._den) for d, c in self._num.items()}
 
     @property
     def radicands(self) -> tuple[int, ...]:
-        return tuple(self._terms)
+        return tuple(self._num)
 
     def coefficient(self, rad: int) -> Fraction:
-        return self._terms.get(rad, Fraction(0))
+        return Fraction(self._num.get(rad, 0), self._den)
 
     @property
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, Fraction(0))
+        return self.coefficient(1)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(d == 1 for d in self._terms)
+        return not self._num or (len(self._num) == 1 and 1 in self._num)
 
     def prime_support(self) -> tuple[int, ...]:
         primes: set[int] = set()
-        for d in self._terms:
+        for d in self._num:
             primes.update(arith.factorize(d))
         return tuple(sorted(primes))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SurdElement(other)
         if not isinstance(other, SurdElement):
-            return NotImplemented
-        return self._terms == other._terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = SurdElement(other)
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         """A rational element hashes as its rational_part, since it equals that number."""
         if self.is_rational():
             return hash(self.rational_part)
-        return hash(tuple(self._terms.items()))
+        return hash((self._den, tuple(self._num.items())))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "SurdElement":
-        if isinstance(other, (int, Fraction)):
-            other = SurdElement(other)
         if not isinstance(other, SurdElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for d, c in other._terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return SurdElement._reduced(out)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = SurdElement(other)
+        den1, den2 = self._den, other._den
+        g = math.gcd(den1, den2)
+        f1, f2 = den2 // g, den1 // g
+        out = {d: c * f1 for d, c in self._num.items()}
+        for d, c in other._num.items():
+            out[d] = out.get(d, 0) + c * f2
+        return SurdElement._build(out, den1 * f1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdElement":
-        return SurdElement._reduced({d: -c for d, c in self._terms.items()})
+        return SurdElement._build({d: -c for d, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SurdElement) else -SurdElement(other))
@@ -135,23 +149,27 @@ class SurdElement:
         return SurdElement(other) - self
 
     def __mul__(self, other) -> "SurdElement":
-        if isinstance(other, (int, Fraction)):
-            return SurdElement._reduced({d: c * other for d, c in self._terms.items()})
         if not isinstance(other, SurdElement):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                g, w = _red_mul(d1, d2)
-                out[w] = out.get(w, Fraction(0)) + c1 * c2 * g
-        return SurdElement._reduced(out)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return SurdElement._build(
+                {d: c * other.numerator for d, c in self._num.items()}, self._den * other.denominator
+            )
+        # sqrt(u) * sqrt(v) = g * sqrt(uv / g^2), g = gcd(u, v), for squarefree u, v
+        out: dict[int, int] = {}
+        for d1, c1 in self._num.items():
+            for d2, c2 in other._num.items():
+                g = math.gcd(d1, d2)
+                w = (d1 // g) * (d2 // g)
+                out[w] = out.get(w, 0) + c1 * c2 * g
+        return SurdElement._build(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def conjugate(self, prime: int) -> "SurdElement":
         """Flip the sign of sqrt(prime) in every radicand containing it."""
-        return SurdElement._reduced(
-            {d: (-c if d % prime == 0 else c) for d, c in self._terms.items()}
+        return SurdElement._build(
+            {d: (-c if d % prime == 0 else c) for d, c in self._num.items()}, self._den
         )
 
     def inverse(self) -> "SurdElement":
@@ -160,14 +178,14 @@ class SurdElement:
         partial = self
         mult = SurdElement(1)
         for p in self.prime_support():
-            if all(d % p != 0 for d in partial._terms):
+            if all(d % p != 0 for d in partial._num):
                 continue
             conj = partial.conjugate(p)
             mult = mult * conj
             partial = partial * conj
         if not partial.is_rational():
             raise ArithmeticError("conjugate tower failed to rationalize")
-        return mult * (Fraction(1) / partial.rational_part)
+        return mult * Fraction(partial._den, partial._num[1])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -196,19 +214,30 @@ class SurdElement:
     # -- numerics ---------------------------------------------------------
 
     def evalf(self):
-        """Numeric value under the identity embedding."""
-        return self.embed({})
-
-    def embed(self, signs: dict[int, int]):
-        """Numeric value with sqrt(p) -> signs[p]*sqrt(p) for each generator prime."""
+        """Numeric value under the identity embedding, summed term by term."""
         total = mp.mpf(0)
-        for d, c in self._terms.items():
-            sign = 1
-            for p, s in signs.items():
-                if d % p == 0 and s < 0:
-                    sign = -sign
-            total += sign * mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
+        for d, c in self.terms.items():
+            total += mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
         return total
+
+    def embeddings(self, primes: tuple[int, ...]) -> list:
+        """All 2^r values sigma_s(x), sigma_s flipping sqrt(p_i) for each bit i of s.
+
+        Each term c_d sqrt(d) sits at the mask of the primes p_i dividing d, and
+        one in-place Walsh-Hadamard transform gives every signed sum at once.
+        """
+        size = 1 << len(primes)
+        vals = [mp.mpf(0)] * size
+        for d, c in self._num.items():
+            mask = sum(1 << i for i, p in enumerate(primes) if d % p == 0)
+            vals[mask] = mp.mpf(c) * mp.sqrt(d) / self._den
+        h = 1
+        while h < size:
+            for i in range(0, size, 2 * h):
+                for j in range(i, i + h):
+                    vals[j], vals[j + h] = vals[j] + vals[j + h], vals[j] - vals[j + h]
+            h *= 2
+        return vals
 
     def sign(self) -> int:
         """Exact sign of the identity embedding (`_sign_in_tower`)."""
@@ -229,9 +258,9 @@ class SurdElement:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
-        ordered = sorted(self._terms.items(), key=lambda t: (t[1] < 0, t[0]))
+        ordered = sorted(self.terms.items(), key=lambda t: (t[1] < 0, t[0]))
         parts = []
         for d, c in ordered:
             mag = abs(c)
@@ -306,8 +335,8 @@ def field_norm(x: SurdElement, primes: tuple[int, ...] | None = None) -> Fractio
 
 def _split(x: SurdElement, p: int) -> tuple[SurdElement, SurdElement]:
     """(a, b) with x = a + b*sqrt(p), a and b free of sqrt(p)."""
-    a = SurdElement._reduced({d: c for d, c in x._terms.items() if d % p})
-    b = SurdElement._reduced({d // p: c for d, c in x._terms.items() if d % p == 0})
+    a = SurdElement._build({d: c for d, c in x._num.items() if d % p}, x._den)
+    b = SurdElement._build({d // p: c for d, c in x._num.items() if d % p == 0}, x._den)
     return a, b
 
 
@@ -320,7 +349,7 @@ def _sign_in_tower(x: SurdElement, primes: tuple[int, ...]) -> int:
     Every sign on the right lies in the field of the smaller primes.
     """
     if x.is_rational():
-        r = x.rational_part
+        r = x._num.get(1, 0)
         return (r > 0) - (r < 0)
     p, rest = primes[-1], primes[:-1]
     a, b = _split(x, p)
@@ -352,7 +381,7 @@ def rational_sqrt(q: int | Fraction, primes: tuple[int, ...]) -> SurdElement | N
     r = math.isqrt(rest)
     if r * r != rest:
         return None
-    return SurdElement._reduced({d: Fraction(r * s, q.denominator)})
+    return SurdElement._build({d: r * s}, q.denominator)
 
 
 def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | None:
@@ -374,14 +403,14 @@ def _sqrt_in_tower(x: SurdElement, primes: tuple[int, ...]) -> SurdElement | Non
         if y is not None:
             return y
         y = _sqrt_in_tower(a * Fraction(1, p), rest)
-        return None if y is None else y * SurdElement._reduced({p: Fraction(1)})
+        return None if y is None else y * SurdElement._build({p: 1})
     norm_root = _sqrt_in_tower(a * a - b * b * p, rest)
     if norm_root is None:
         return None
     for half in ((a + norm_root) * Fraction(1, 2), (a - norm_root) * Fraction(1, 2)):
         y = _sqrt_in_tower(half, rest)
         if y is not None:
-            return y + b * SurdElement._reduced({p: Fraction(1, 2)}) * y.inverse()
+            return y + b * SurdElement._build({p: 1}, 2) * y.inverse()
     return None
 
 

@@ -68,13 +68,13 @@ def test_k_numeric_closed_forms():
 
 
 def test_verify_ratio_value_for_tiny_alpha():
-    # alpha = k_1000^2 ~ 1.1e-42: 1 - (1 - alpha) at 62 digits keeps 20 of its digits
+    # alpha = k_1000^2 ~ 1.1e-42: agm(1, k) takes k itself, so no digit of k is lost
     with mp.workdps(70):
         k = hp.k_numeric(1000, 60)
-        assert abs(hp.verify_ratio_value(k * k, 50) - mp.sqrt(1000)) < mp.mpf("1e-45")
-    for alpha in (0, 1, -0.5):
+        assert abs(hp.verify_ratio_value(k, 50) - mp.sqrt(1000)) < mp.mpf("1e-45")
+    for k in (0, 1, -0.5):
         with pytest.raises(ValueError):
-            hp.verify_ratio_value(alpha)
+            hp.verify_ratio_value(k)
 
 
 def test_F_series():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -234,6 +235,24 @@ def test_descent_golden_pins():
         w = sm.witness
         assert str(sm.k_product) == product, n
         assert tuple(str(x) for x in (w.a, w.b, w.c, w.d)) == quartet, n
+
+
+# SHA-256 of every exact form and the printed numerics of the 15 convenient n
+# at prec 50: k_surd, k_product, g_product, the eight witness fields,
+# k_numeric to 50 digits and ratio_residual to 3 digits, one line each
+DESCENT_SHA256 = "74a46c3f567c564e9fee161a8aab08ecd26bd7f017a23453184c775c76031bfb"
+WITNESS_FIELDS = ("s1", "s2", "alpha", "beta", "a", "b", "c", "d")
+
+
+def test_descent_outputs_match_their_sha256():
+    blocks = []
+    for n in CONVENIENT:
+        sm = modulus.singular_modulus(n, 50)
+        lines = [str(sm.k_surd), str(sm.k_product), str(sm.g_product)]
+        lines += [str(getattr(sm.witness, f)) for f in WITNESS_FIELDS]
+        lines += [mp.nstr(sm.k_numeric, 50), mp.nstr(sm.ratio_residual, 3)]
+        blocks.append("\n".join(lines))
+    assert hashlib.sha256("\n".join(blocks).encode()).hexdigest() == DESCENT_SHA256
 
 
 def test_sqrt_alpha_halves_are_cosets():
@@ -530,17 +549,17 @@ def test_descent_k_numeric_keeps_every_digit():
 
 def test_verify_ratio_trivia():
     with mp.workdps(52):
-        assert abs(highprec.verify_ratio_value(mp.mpf(0.5), 40) - 1) < mp.mpf("1e-35")
-        alpha2 = SurdElement({1: 3, 2: -2}).evalf()  # (sqrt(2)-1)^2
-        assert abs(highprec.verify_ratio_value(alpha2, 40) - mp.sqrt(2)) < mp.mpf("1e-35")
+        assert abs(highprec.verify_ratio_value(mp.sqrt(mp.mpf(0.5)), 40) - 1) < mp.mpf("1e-35")
+        k2 = SurdElement({1: -1, 2: 1}).evalf()  # sqrt(2) - 1
+        assert abs(highprec.verify_ratio_value(k2, 40) - mp.sqrt(2)) < mp.mpf("1e-35")
 
 
 def test_ratio_monotone_on_grid():
     with mp.workdps(30):
         vals = []
         for i in range(1, 101):
-            a = mp.mpf(i) / 101
-            vals.append(highprec.verify_ratio_value(a, 25))
+            k = mp.mpf(i) / 101
+            vals.append(highprec.verify_ratio_value(k, 25))
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
@@ -600,8 +619,8 @@ def test_landen_transformation_random():
 def test_small_modulus_root_selection():
     # the rejected sign choice solves the reciprocal equation instead
     with mp.workdps(40):
-        wrong = (2 + mp.sqrt(3)) / 4
+        wrong = (mp.sqrt(6) + mp.sqrt(2)) / 4  # k^2 = (2 + sqrt(3))/4
         ratio = highprec.verify_ratio_value(wrong, 35)
         assert abs(ratio - 1 / mp.sqrt(3)) < mp.mpf("1e-30")
-        right = (2 - mp.sqrt(3)) / 4
+        right = (mp.sqrt(6) - mp.sqrt(2)) / 4  # k^2 = (2 - sqrt(3))/4
         assert abs(highprec.verify_ratio_value(right, 35) - mp.sqrt(3)) < mp.mpf("1e-30")

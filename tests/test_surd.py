@@ -142,7 +142,7 @@ def test_embedding_values():
         v = parse_surd("sqrt(2) - 1").evalf()
         assert abs(v - (mp.sqrt(2) - 1)) < mp.mpf("1e-25")
         golden = SurdElement({1: Fraction(3, 2), 5: Fraction(1, 2)})
-        flipped = golden.embed({5: -1})
+        flipped = golden.embeddings((5,))[1]
         assert abs(flipped - (3 - mp.sqrt(5)) / 2) < mp.mpf("1e-25")
 
 
@@ -387,7 +387,106 @@ def test_embedding_multiplicative_consistency():
     # the sign of a composite radicand is the product of the generator signs
     with mp.workdps(30):
         x = SurdElement({6: 1})
-        assert abs(x.embed({2: -1, 3: -1}) - mp.sqrt(6)) < mp.mpf("1e-25")
-        assert abs(x.embed({2: -1, 3: 1}) + mp.sqrt(6)) < mp.mpf("1e-25")
+        assert abs(x.embeddings((2, 3))[3] - mp.sqrt(6)) < mp.mpf("1e-25")  # both flipped
+        assert abs(x.embeddings((2, 3))[1] + mp.sqrt(6)) < mp.mpf("1e-25")  # sqrt(2) flipped
         y = SurdElement({30: 1})
-        assert abs(y.embed({2: -1, 3: -1, 5: -1}) + mp.sqrt(30)) < mp.mpf("1e-25")
+        assert abs(y.embeddings((2, 3, 5))[7] + mp.sqrt(30)) < mp.mpf("1e-25")
+
+
+# -- kernel properties: integer numerators over one common denominator --------
+
+RADICANDS = [math.prod(c) for k in range(5) for c in combinations((2, 3, 5, 7), k)]
+COEFFICIENTS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+SURDS = st.dictionaries(st.sampled_from(RADICANDS), COEFFICIENTS, max_size=8).map(SurdElement)
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    assert math.gcd(x._den, *x._num.values()) == 1
+    assert list(x._num) == sorted(x._num)
+    assert all(x._num.values())
+
+
+def _ref_add(t1, t2):
+    out = dict(t1)
+    for d, c in t2.items():
+        out[d] = out.get(d, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def _ref_mul(t1, t2):
+    out = {}
+    for d1, c1 in t1.items():
+        for d2, c2 in t2.items():
+            g = math.gcd(d1, d2)
+            w = (d1 // g) * (d2 // g)
+            out[w] = out.get(w, 0) + c1 * c2 * g
+    return {d: c for d, c in out.items() if c}
+
+
+def _ref_conjugate(t, p):
+    return {d: -c if d % p == 0 else c for d, c in t.items()}
+
+
+def _ref_inverse(t):
+    """1/x = prod_{s != 0} sigma_s(x) / N(x), every sigma_s a product of conjugations."""
+    primes = (2, 3, 5, 7)
+    others = {1: Fraction(1)}
+    for s in range(1, 16):
+        sigma = t
+        for i, p in enumerate(primes):
+            if s >> i & 1:
+                sigma = _ref_conjugate(sigma, p)
+        others = _ref_mul(others, sigma)
+    norm = _ref_mul(others, t)
+    assert set(norm) == {1}
+    return {d: c / norm[1] for d, c in others.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(SURDS, SURDS, st.sampled_from((2, 3, 5, 7)))
+def test_kernel_matches_the_fraction_reference(x, y, p):
+    tx, ty = x.terms, y.terms
+    for got, want in (
+        (x + y, _ref_add(tx, ty)),
+        (x - y, _ref_add(tx, {d: -c for d, c in ty.items()})),
+        (x * y, _ref_mul(tx, ty)),
+        (x.conjugate(p), _ref_conjugate(tx, p)),
+    ):
+        _assert_canonical(got)
+        assert got.terms == want
+    if not y.is_zero():
+        inv = y.inverse()
+        _assert_canonical(inv)
+        assert inv.terms == _ref_inverse(ty)
+        assert (x * y) / y == x
+    zero = x + (-x)
+    _assert_canonical(zero)
+    assert zero.is_zero() and zero == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(RADICANDS),
+        st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**20),
+        min_size=1,
+        max_size=16,
+    ),
+    st.sampled_from((20, 30, 60)),
+)
+def test_embeddings_match_the_signed_term_sums(terms, dps):
+    x = SurdElement(terms)
+    primes = (2, 3, 5, 7)
+    with mp.workdps(dps):
+        values = x.embeddings(primes)
+    assert len(values) == 16
+    with mp.workdps(dps + 20):
+        scale = max(1, sum(abs(mp.mpf(c.numerator) / c.denominator) * mp.sqrt(d) for d, c in x.terms.items()))
+        for s in range(16):
+            want = mp.fsum(
+                (-1) ** sum(s >> i & 1 for i, q in enumerate(primes) if d % q == 0)
+                * mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
+                for d, c in x.terms.items()
+            )
+            assert abs(values[s] - want) <= mp.mpf(10) ** (5 - dps) * scale, s
