@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import arith, qforms
+from . import arith, pell, qforms
 
 GUARD = 12  # guard digits added to every requested precision
 
@@ -232,6 +232,24 @@ def dirichlet_l_one(delta: int, prec: int = 50):
             if chi:
                 total += chi * mp.log(mp.sin(mp.pi * a / delta))
         return -total / mp.sqrt(delta)
+
+
+def verify_dirichlet(delta: int, prec: int = 40):
+    """(finite sum, class number formula) for L(1, chi_delta), delta fundamental and != 1.
+
+    The formula is pi K / sqrt|delta| for delta < 0 and K log(eps) / sqrt(delta)
+    for delta > 0, K = `qforms.weighted_class_number(delta)` and eps the
+    fundamental even-Pell unit of Q(sqrt delta).
+    """
+    with working_precision(prec):
+        finite = dirichlet_l_one(delta, prec)
+        K = qforms.weighted_class_number(delta)
+        if delta < 0:
+            closed = mp.pi / mp.sqrt(-delta) * K.numerator / K.denominator
+        else:
+            eps = pell.unit_value(pell.solve_even_pell(delta)).evalf()
+            closed = mp.log(eps) / mp.sqrt(delta) * K.numerator / K.denominator
+        return finite, closed
 
 
 # -- Epstein zeta: analytic continuation and the constant term at s = 1 -----

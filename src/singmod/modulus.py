@@ -40,6 +40,7 @@ from .surd import (
     exact_sqrt,
     field_norm,
     rational_sqrt,
+    walsh_hadamard,
 )
 
 
@@ -198,6 +199,8 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
     values log|sigma_s(x)| is log|N_{K/Q(sqrt d)}(x)|, and for a unit
     x^(2^(r-1)) = +-prod_d N_{K/Q(sqrt d)}(x), so x has the exponent
     -W_d / (2^r log eps_d) on eps_d^-1, eps_d the even-Pell unit of Q(sqrt d).
+    One transform gives every W_d, log eps_d comes from the Pell pair, and a
+    unit is built exactly only for a nonzero exponent.
     eps_d^-1 = (T - U sqrt d)/2 is replaced by its square root
     w = (sqrt(T + 2) - sqrt(T - 2))/2, by (T + 2)(T - 2) = d U^2, when both
     roots lie in Q(sqrt(p) : p | d) and w has integer coefficients.
@@ -210,16 +213,16 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
     dps = (1 << r) * (len(str(math.ceil(height))) + r) + 20
     units = []
     with mp.workdps(dps):
-        logs = [mp.log(abs(v)) for v in x.embeddings(primes)]
+        walsh = walsh_hadamard([mp.log(abs(v)) for v in x.embeddings(primes)])
         for mask in range(1, 1 << r):
             sub = tuple(p for i, p in enumerate(primes) if mask >> i & 1)
             d = math.prod(sub)
             sol = pell.solve_even_pell(d)
-            eps = pell.unit_value(sol)
-            walsh = mp.fsum(-v if bin(s & mask).count("1") % 2 else v for s, v in enumerate(logs))
-            e = Fraction(int(mp.nint(-2 * walsh / ((1 << r) * mp.log(eps.evalf())))), 2)
+            log_eps = mp.log((sol.T + sol.U * mp.sqrt(d)) / 2)
+            e = Fraction(int(mp.nint(-2 * walsh[mask] / ((1 << r) * log_eps))), 2)
             if e == 0:
                 continue
+            eps = pell.unit_value(sol)
             hi, lo = rational_sqrt(sol.T + 2, sub), rational_sqrt(sol.T - 2, sub)
             w = None if hi is None or lo is None else (hi - lo) * Fraction(1, 2)
             if w is None or any(c.denominator != 1 for c in w.terms.values()):

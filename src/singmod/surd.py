@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 
 import mpmath as mp
 
@@ -34,13 +35,34 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
 
 
+def _coerce(value):
+    """value as a SurdElement if it is one, an int or a Fraction; else NotImplemented."""
+    if isinstance(value, SurdElement):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return SurdElement(value)
+    return NotImplemented
+
+
+def walsh_hadamard(vals: list) -> list:
+    """Transform vals of length 2^r in place, entry s to sum_m (-1)^popcount(s & m) vals[m]; return it."""
+    h = 1
+    while h < len(vals):
+        for i in range(0, len(vals), 2 * h):
+            for j in range(i, i + h):
+                vals[j], vals[j + h] = vals[j] + vals[j + h], vals[j] - vals[j + h]
+        h *= 2
+    return vals
+
+
+@total_ordering
 class SurdElement:
     """Immutable exact element of a multiquadratic field."""
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        """From an int, a Fraction or a {radicand: coefficient} dict.
+        """From an int, a Fraction or a {radicand: coefficient} dict; TypeError otherwise.
 
         Radicands are reduced by trial division, which stops by 10^6 below the
         limit 10^12; a radicand outside [1, 10^12) raises ValueError.
@@ -49,6 +71,8 @@ class SurdElement:
             self._num = {1: terms.numerator} if terms else {}
             self._den = terms.denominator
             return
+        if not isinstance(terms, (dict, type(None))):
+            raise TypeError(f"cannot build a surd from {type(terms).__name__}")
         clean: dict[int, Fraction] = {}
         for rad, coef in (terms or {}).items():
             coef = _as_fraction(coef)
@@ -110,10 +134,9 @@ class SurdElement:
         return tuple(sorted(primes))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SurdElement):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = SurdElement(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
@@ -125,10 +148,9 @@ class SurdElement:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "SurdElement":
-        if not isinstance(other, SurdElement):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = SurdElement(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         den1, den2 = self._den, other._den
         g = math.gcd(den1, den2)
         f1, f2 = den2 // g, den1 // g
@@ -143,18 +165,17 @@ class SurdElement:
         return SurdElement._build({d: -c for d, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SurdElement) else -SurdElement(other))
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
-        return SurdElement(other) - self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other + -self
 
     def __mul__(self, other) -> "SurdElement":
-        if not isinstance(other, SurdElement):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return SurdElement._build(
-                {d: c * other.numerator for d, c in self._num.items()}, self._den * other.denominator
-            )
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         # sqrt(u) * sqrt(v) = g * sqrt(uv / g^2), g = gcd(u, v), for squarefree u, v
         out: dict[int, int] = {}
         for d1, c1 in self._num.items():
@@ -189,13 +210,14 @@ class SurdElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _as_fraction(other))
+            return self * (Fraction(1) / other)
         if isinstance(other, SurdElement):
             return self * other.inverse()
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return SurdElement(other) * self.inverse()
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def __pow__(self, n: int) -> "SurdElement":
         if not isinstance(n, int):
@@ -224,36 +246,22 @@ class SurdElement:
         """All 2^r values sigma_s(x), sigma_s flipping sqrt(p_i) for each bit i of s.
 
         Each term c_d sqrt(d) sits at the mask of the primes p_i dividing d, and
-        one in-place Walsh-Hadamard transform gives every signed sum at once.
+        one Walsh-Hadamard transform (`walsh_hadamard`) gives every signed sum at once.
         """
-        size = 1 << len(primes)
-        vals = [mp.mpf(0)] * size
+        vals = [mp.mpf(0)] * (1 << len(primes))
         for d, c in self._num.items():
             mask = sum(1 << i for i, p in enumerate(primes) if d % p == 0)
             vals[mask] = mp.mpf(c) * mp.sqrt(d) / self._den
-        h = 1
-        while h < size:
-            for i in range(0, size, 2 * h):
-                for j in range(i, i + h):
-                    vals[j], vals[j + h] = vals[j] + vals[j + h], vals[j] - vals[j + h]
-            h *= 2
-        return vals
+        return walsh_hadamard(vals)
 
     def sign(self) -> int:
         """Exact sign of the identity embedding (`_sign_in_tower`)."""
         return _sign_in_tower(self, self.prime_support())
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+        """The order of the reals; total_ordering derives <=, > and >= from it and ==."""
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else (self - other).sign() < 0
 
     # -- rendering --------------------------------------------------------
 

@@ -211,6 +211,14 @@ def test_non_convenient_m_exits_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("disc", ["-400000000000000012", "-100000004"])
+def test_forms_beyond_the_bound_exits_2_at_once(capsys, disc):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["forms", "--disc", disc])
+    assert code == 2 and "at most 10^8" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["forms"])

@@ -458,6 +458,14 @@ def test_dirichlet_l_one_rejects_bad():
         hp.dirichlet_l_one(25)
 
 
+def test_verify_dirichlet_agrees_with_the_class_number_formula():
+    for delta in (-3, -4, -840, 5, 8, 280):
+        finite, closed = hp.verify_dirichlet(delta, 40)
+        assert abs(finite - closed) < mp.mpf(10) ** -40, delta
+    with pytest.raises(ValueError):
+        hp.verify_dirichlet(25)
+
+
 def test_class_polynomial_complex_conjugate_classes():
     # classes with b != 0 come in conjugate pairs; the product is still integral
     assert hp.class_polynomial(-23, 120) == [1, 3491750, -5151296875, 12771880859375]
@@ -473,6 +481,7 @@ PREC_ENTRY_POINTS = {
     "k_numeric": lambda p: hp.k_numeric(5, p),
     "class_polynomial": lambda p: hp.class_polynomial(-840, p),
     "dirichlet_l_one": lambda p: hp.dirichlet_l_one(-3, p),
+    "verify_dirichlet": lambda p: hp.verify_dirichlet(-3, p),
     "epstein_zeta": lambda p: hp.epstein_zeta(1, 0, 1, 2, p),
     "epstein_constant_term": lambda p: hp.epstein_constant_term(1, 0, 1, p),
     "grenzformel_rhs": lambda p: hp.grenzformel_rhs(1, 0, 1, p),

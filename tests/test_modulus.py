@@ -394,6 +394,30 @@ def test_factor_into_units_takes_unit_roots_without_factoring():
     assert str(out) == "(sqrt(2) - 1)^2 * (55335641*sqrt(337) - 1015827336)^2"
 
 
+def test_factor_into_units_builds_a_unit_only_for_a_nonzero_exponent(monkeypatch):
+    # 134 masks over the 14 multi-term factors of the 15 descents, 28 nonzero exponents
+    calls, inside = [], []
+    unit_value, factor = pell.unit_value, modulus.factor_into_units
+
+    def counted_unit_value(sol):
+        if inside:
+            calls.append(sol.delta)
+        return unit_value(sol)
+
+    def flagged(product):
+        inside.append(True)
+        try:
+            return factor(product)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pell, "unit_value", counted_unit_value)
+    monkeypatch.setattr(modulus, "factor_into_units", flagged)
+    for n in CONVENIENT:
+        modulus.singular_modulus(n, 50)
+    assert len(calls) == 28
+
+
 def test_factor_into_units_rejects_a_non_unit():
     with pytest.raises(ArithmeticError):
         modulus.factor_into_units(UnitProduct([(parse_surd("2 + sqrt(2)"), 1)]))

@@ -18,6 +18,7 @@ from singmod.surd import (
     field_norm,
     parse_surd,
     rational_sqrt,
+    walsh_hadamard,
 )
 
 # expressions appearing along the k_210 / k_30 computations
@@ -357,6 +358,17 @@ def test_reflected_operators_and_order():
     assert Fraction(1, 2) / x == x.inverse() / 2
     assert x >= x and x >= 2 and not x >= 3
     assert Fraction(5, 2) >= x and not 2 >= x
+    # a float or an mpf is no exact operand: TypeError, never AttributeError
+    for y in (1.5, mp.mpf(1.5)):
+        for op in (
+            lambda: SurdElement(y),
+            lambda: x + y, lambda: y + x, lambda: x - y, lambda: y - x,
+            lambda: x * y, lambda: y * x, lambda: x / y, lambda: y / x,
+            lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y, lambda: y < x, lambda: y >= x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert not x == y and x != y
 
 
 def test_radicand_limit():
@@ -490,3 +502,16 @@ def test_embeddings_match_the_signed_term_sums(terms, dps):
                 for d, c in x.terms.items()
             )
             assert abs(values[s] - want) <= mp.mpf(10) ** (5 - dps) * scale, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda r: st.lists(
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000), min_size=1 << r, max_size=1 << r
+        )
+    )
+)
+def test_walsh_hadamard_is_the_signed_sum_over_masks(v):
+    got = walsh_hadamard(list(v))
+    assert got == [sum(c if bin(s & m).count("1") % 2 == 0 else -c for m, c in enumerate(v)) for s in range(len(v))]
