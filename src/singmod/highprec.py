@@ -17,6 +17,7 @@ import mpmath as mp
 from . import arith, pell, qforms
 
 GUARD = 12  # guard digits added to every requested precision
+_WALK_GUARD = 8  # bits beyond log2(number of values) for the fixed-point Epstein walk
 
 
 def _check_precision(prec: int) -> None:
@@ -318,14 +319,67 @@ def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
         return total / mp.gamma(s)
 
 
+def _exp_e1_walk(c, qs, W: int):
+    """Yield (e^(-x), E1(x)) at x = cQ for the increasing Q > 0 of qs, as integers over 2^W.
+
+    c must carry W + 20 bits.  A run is seeded by one mp.exp and one mp.e1 at
+    the first Q and wherever the gap dQ from the last Q exceeds Q/2; a seed is
+    evaluated at `_term_bits(x, W)` bits, an absolute error of about
+    2^-(W + 16).  Every other Q is one step x -> x + h, with h = c dQ and
+    r = h/x = dQ/Q <= 1/2:
+
+        E1(x + h) = E1(x) - e^(-x) sum_k (-1)^k p_k/(k + 1),
+        p_0 = r,  p_k = r (h^k/k! + p_(k-1)),
+        e^(-x-h) = e^(-x) sum_k (-1)^k h^k/k!,
+
+    the first from E1(x + h) - E1(x) = -r int_0^1 e^(-ht)/(1 + rt) dt,
+    expanded in t.  Both series run on their terms times e^(-x), in integers,
+    and stop when those reach 0, the sooner the smaller e^(-x) is.  In fixed
+    point a rounding costs one unit of 2^-W however much the alternating terms
+    cancel, so a value's error grows by a few units a step.
+    """
+    c_hi = int(mp.ldexp(c, W + 20))
+    cf = float(c)
+    prev = 0
+    for q in qs:
+        dq = q - prev
+        if 2 * dq > prev:
+            with mp.workprec(_term_bits(cf * q, W)):
+                x = c * q
+                ex = int(mp.ldexp(mp.exp(-x), W))
+                e1 = int(mp.ldexp(mp.e1(x), W))
+        else:
+            h = c_hi * dq >> 20
+            a = e = ex
+            b = s = ex * dq // prev
+            k = 1
+            while a or b:
+                a = (a * h >> W) // k
+                k += 1
+                b = (a + b) * dq // prev
+                if k & 1:
+                    e += a
+                    s += b // k
+                else:
+                    e -= a
+                    s -= b // k
+            e1 -= s
+            ex = max(e, 0)  # below one unit e may round under 0, where a would never floor to 0
+        prev = q
+        yield ex, e1
+
+
 def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
     """Constant term of sum' Q(x,y)^(-s) at s = 1 (pole pi/(sqrt(m)(s-1)) removed).
 
     c (euler + ln c - 1) + sum' [exp(-cQ)/Q + c E1(cQ)] with c = pi/sqrt(m),
-    summed once per represented value Q, in increasing Q, times its count.
-    Each term, of size about e^(-x) at x = cQ, is evaluated at
-    max(min(bits, bits + 16 - floor(x / ln 2)), 24) bits (`_term_bits`); the
-    sum itself runs at the full working precision `bits`.
+    summed once per represented value Q times its count, up to
+    cQ = (bits + 16) ln 2 at the working precision `bits`.  The values are
+    walked in increasing order in integer fixed point (`_exp_e1_walk`): one
+    mp.exp and one mp.e1 seed each run, and every other value is one series
+    step from the last.  The sum is kept as one integer over 2^W,
+    W = bits + _WALK_GUARD + log2 of the number of values, so the roundings of
+    all the steps stay below 2^-bits.
     """
     m = A * C - B * B
     if m <= 0 or A <= 0:
@@ -334,13 +388,16 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
         bits = mp.mp.prec
         c = mp.pi / mp.sqrt(m)
         cutoff = (bits + 16) * mp.log(2) / c
-        total = c * (mp.euler + mp.log(c) - 1)
-        cf = float(c)
-        for qv, count in sorted(_lattice_values(A, B, C, cutoff).items()):
-            with mp.workprec(_term_bits(cf * qv, bits)):
-                term = mp.exp(-c * qv) / qv + c * mp.e1(c * qv)
-            total += count * term
-        return total
+        values = sorted(_lattice_values(A, B, C, cutoff).items())
+        W = bits + _WALK_GUARD + len(values).bit_length()
+        with mp.workprec(W + 20):
+            cw = mp.pi / mp.sqrt(m)
+        cfix = int(mp.ldexp(cw, W))
+        total = 0
+        walk = _exp_e1_walk(cw, (q for q, _ in values), W)
+        for (q, count), (ex, e1) in zip(values, walk):
+            total += count * (ex // q + (cfix * e1 >> W))
+        return c * (mp.euler + mp.log(c) - 1) + mp.ldexp(total, -W)
 
 
 def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):

@@ -199,8 +199,10 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
     values log|sigma_s(x)| is log|N_{K/Q(sqrt d)}(x)|, and for a unit
     x^(2^(r-1)) = +-prod_d N_{K/Q(sqrt d)}(x), so x has the exponent
     -W_d / (2^r log eps_d) on eps_d^-1, eps_d the even-Pell unit of Q(sqrt d).
-    One transform gives every W_d, log eps_d comes from the Pell pair, and a
-    unit is built exactly only for a nonzero exponent.
+    One transform gives every W_d.  Every eps_d is at least the golden ratio
+    phi, so a W_d below 2^r log(phi)/4 in size rounds to exponent 0 and needs
+    no Pell solve; elsewhere log eps_d comes from the Pell pair, and a unit is
+    built exactly only for a nonzero exponent.
     eps_d^-1 = (T - U sqrt d)/2 is replaced by its square root
     w = (sqrt(T + 2) - sqrt(T - 2))/2, by (T + 2)(T - 2) = d U^2, when both
     roots lie in Q(sqrt(p) : p | d) and w has integer coefficients.
@@ -214,7 +216,10 @@ def _subfield_units(x: SurdElement) -> UnitProduct:
     units = []
     with mp.workdps(dps):
         walsh = walsh_hadamard([mp.log(abs(v)) for v in x.embeddings(primes)])
+        small = (1 << r) * mp.log(mp.phi) / 4  # |W_d| below this gives e = 0
         for mask in range(1, 1 << r):
+            if abs(walsh[mask]) < small:
+                continue
             sub = tuple(p for i, p in enumerate(primes) if mask >> i & 1)
             d = math.prod(sub)
             sol = pell.solve_even_pell(d)
@@ -319,7 +324,7 @@ def singular_modulus(n: int, prec: int = 50) -> SingularModulus:
     """
     with highprec.working_precision(prec):
         if weber.is_convenient(n):
-            g_product, _ = weber.g2n(n // 2, prec)
+            g_product, _ = weber._g2n(n, prec)  # n is convenient: one forms scan per op
             s1, s2 = subgroup_splits((g_product**12).expand_exact())
             x1, x2, factors, witness = quartet_roots(s1, s2, ambient_primes=tuple(arith.factorize(2 * n)))
             k_product = factor_into_units(factors)

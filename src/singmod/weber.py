@@ -81,8 +81,12 @@ def g2n(n: int, prec: int = 60) -> tuple[UnitProduct, mp.mpf]:
     the other pairs cancel.  Its numeric value is cross-checked against the
     theta series of `highprec.gn_numeric`; disagreement raises ArithmeticError.
     """
-    m = 2 * n
-    _check_m(m)
+    _check_m(2 * n)
+    return _g2n(2 * n, prec)
+
+
+def _g2n(m: int, prec: int) -> tuple[UnitProduct, mp.mpf]:
+    """`g2n` for g_m, with m already known to be convenient (no forms scan)."""
     with highprec.working_precision(prec):  # rejects prec < 1 before the exact work
         pairs = disc_pairs(m)
         h = len(pairs)  # every form of -4m is diagonal, so each class is its own genus: h = 2^t

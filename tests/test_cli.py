@@ -114,10 +114,10 @@ PASS  F(1-a)/F(a) = sqrt(210): residual -1.94469e-62 (tol 1.0e-40)
 PASS  L(1, chi_-3) class number formula: residual 0.0 (tol 1.0e-30)
 """,
     "verify formula-g --a 1 --c 105": """\
-PASS  Epstein pair difference = 4 pi/sqrt(m) ln g, A=1, C=105: residual -5.38099e-43 (tol 1.0e-20)
+PASS  Epstein pair difference = 4 pi/sqrt(m) ln g, A=1, C=105: residual 3.58732e-43 (tol 1.0e-20)
 """,
     "verify grenzformel --a 1 --c 210": """\
-PASS  Epstein constant term, form (1, 0, 210): residual -7.17465e-43 (tol 1.0e-20)
+PASS  Epstein constant term, form (1, 0, 210): residual 0.0 (tol 1.0e-20)
 """,
 }
 
@@ -219,6 +219,14 @@ def test_forms_beyond_the_bound_exits_2_at_once(capsys, disc):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("disc", ["-10004", "-300000", "-400000000000000012"])
+def test_jpoly_beyond_the_bound_exits_2_at_once(capsys, disc):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["jpoly", "--disc", disc])
+    assert code == 2 and "at most 10^4" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["forms"])
@@ -296,9 +304,11 @@ def test_jpoly_sizes_its_own_precision(capsys):
 def test_verify_pass_and_fail(capsys):
     code, out, _ = run(capsys, ["verify", "formula-g", "--a", "1", "--c", "105"])
     assert code == 0 and out.startswith("PASS")
-    code, out, _ = run(
-        capsys, ["verify", "formula-g", "--a", "1", "--c", "105", "--tol", "1e-60"]
-    )
+    # the residual of m = 2 is nonzero (about 8e-43), so a tolerance below it fails
+    argv = ["verify", "formula-g", "--a", "1", "--c", "1"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0 and float(json.loads(out)["residual"]) != 0
+    code, out, _ = run(capsys, argv + ["--tol", "1e-60"])
     assert code == 1 and out.startswith("FAIL")
 
 

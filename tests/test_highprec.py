@@ -373,7 +373,7 @@ def test_grenzformel_residual_reaches_the_precision(form):
 def test_epstein_constant_term_equals_the_pointwise_sum(form):
     A, B, C = form
     m = A * C - B * B
-    # each lattice term is tapered against the working bits, so check two precisions
+    # the fixed-point width of the walk follows the working bits, so check two precisions
     for prec in (30, 60):
         with mp.workdps(prec + hp.GUARD):
             c = mp.pi / mp.sqrt(m)
@@ -389,11 +389,53 @@ def test_epstein_constant_term_equals_the_pointwise_sum(form):
             assert err < mp.mpf(10) ** -(prec + 8), prec
 
 
-# the taper keeps each term's rounding error 16 bits below the working
-# precision, so the sum keeps its guard digits: within a few units of the last
+# the fixed-point walk keeps its roundings 8 bits below 2^-bits, so the sum
+# keeps its guard digits: within a few units of the last
 @pytest.mark.parametrize("prec", [50, 60, 80])
 @pytest.mark.parametrize("form", [(1, 0, 1), (1, 0, 2), (2, 1, 3)])
 def test_epstein_constant_term_keeps_its_guard_digits(form, prec):
+    with mp.workdps(prec + 60):
+        exact = hp.epstein_constant_term(*form, prec + 40)
+        err = abs(hp.epstein_constant_term(*form, prec) - exact)
+    assert err < 3 * mp.mpf(10) ** -(prec + hp.GUARD)
+
+
+# (1, 0, 1) has c = pi, the largest step h = c dQ (7 pi at prec 120), and two
+# reseeds (1 -> 2 -> 4); (1, 0, 3000) walks 123 values at prec 120
+@pytest.mark.parametrize("prec", [30, 120])
+@pytest.mark.parametrize("form", [(1, 0, 1), (2, 1, 3), (1, 0, 3000)])
+def test_exp_e1_walk_against_mpmath(form, prec):
+    A, B, C = form
+    m = A * C - B * B
+    with hp.working_precision(prec):
+        W = mp.mp.prec
+        qs = sorted(hp._lattice_values(A, B, C, (W + 16) * mp.log(2) / (mp.pi / mp.sqrt(m))))
+    with mp.workprec(W + 20):
+        walk = list(hp._exp_e1_walk(mp.pi / mp.sqrt(m), qs, W))
+    gaps = [(q - p, p) for p, q in zip(qs, qs[1:])]
+    assert any(2 * dq > p for dq, p in gaps) and any(2 * dq <= p for dq, p in gaps)
+    if m == 1:
+        assert max(dq for dq, p in gaps if 2 * dq <= p) >= 5
+    # each value is within 2^(log2(number of values) + 2) units of 2^-W
+    tol = mp.ldexp(1, len(qs).bit_length() + 2 - W)
+    with mp.workdps(prec + 40):
+        c = mp.pi / mp.sqrt(m)
+        for q, (ex, e1) in zip(qs, walk):
+            assert abs(mp.ldexp(ex, -W) - mp.exp(-c * q)) < tol, q
+            assert abs(mp.ldexp(e1, -W) - mp.e1(c * q)) < tol, q
+
+
+@st.composite
+def positive_definite_forms(draw):
+    A = draw(st.integers(min_value=1, max_value=80))
+    B = draw(st.integers(min_value=-40, max_value=40))
+    C = draw(st.integers(min_value=B * B // A + 1, max_value=(5000 + B * B) // A))
+    return A, B, C
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_definite_forms(), st.integers(min_value=10, max_value=120))
+def test_epstein_constant_term_keeps_its_guard_digits_for_any_form(form, prec):
     with mp.workdps(prec + 60):
         exact = hp.epstein_constant_term(*form, prec + 40)
         err = abs(hp.epstein_constant_term(*form, prec) - exact)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singmod import arith, highprec, modulus, pell
+from singmod import arith, highprec, modulus, pell, qforms, weber
 from singmod.surd import NotASquareError, SurdElement, UnitProduct, exact_sqrt, field_norm, parse_surd
 
 K210_FACTORS = {
@@ -395,14 +395,20 @@ def test_factor_into_units_takes_unit_roots_without_factoring():
 
 
 def test_factor_into_units_builds_a_unit_only_for_a_nonzero_exponent(monkeypatch):
-    # 134 masks over the 14 multi-term factors of the 15 descents, 28 nonzero exponents
-    calls, inside = [], []
-    unit_value, factor = pell.unit_value, modulus.factor_into_units
+    # 134 masks over the 14 multi-term factors of the 15 descents, 28 nonzero
+    # exponents; the other 106 have |W_d| < 2^r log(phi)/4 and need no Pell solve
+    calls, solves, inside = [], [], []
+    unit_value, solve, factor = pell.unit_value, pell.solve_even_pell, modulus.factor_into_units
 
     def counted_unit_value(sol):
         if inside:
             calls.append(sol.delta)
         return unit_value(sol)
+
+    def counted_solve(d):
+        if inside:
+            solves.append(d)
+        return solve(d)
 
     def flagged(product):
         inside.append(True)
@@ -412,10 +418,29 @@ def test_factor_into_units_builds_a_unit_only_for_a_nonzero_exponent(monkeypatch
             inside.pop()
 
     monkeypatch.setattr(pell, "unit_value", counted_unit_value)
+    monkeypatch.setattr(pell, "solve_even_pell", counted_solve)
     monkeypatch.setattr(modulus, "factor_into_units", flagged)
     for n in CONVENIENT:
         modulus.singular_modulus(n, 50)
-    assert len(calls) == 28
+    assert len(calls) == 28 and sorted(solves) == sorted(calls)
+
+
+def test_descent_scans_the_forms_of_minus_4n_once(monkeypatch):
+    # is_convenient routes the op; the descent's g_n then skips g2n's own check
+    scans = []
+    scan = qforms.iter_reduced_forms
+
+    def counted(disc):
+        scans.append(disc)
+        return scan(disc)
+
+    monkeypatch.setattr(qforms, "iter_reduced_forms", counted)
+    for n in CONVENIENT:
+        scans.clear()
+        modulus.singular_modulus(n, 50)
+        assert scans.count(-4 * n) == 1, (n, scans)
+    with pytest.raises(ValueError, match="diagonal"):
+        weber.g2n(195, 50)  # the public g2n keeps its check: -1560 has non-diagonal forms
 
 
 def test_factor_into_units_rejects_a_non_unit():
