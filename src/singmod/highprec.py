@@ -123,20 +123,37 @@ def _theta_sums(q, bits: int):
     return s2, s3, s4
 
 
+def _nome(tau):
+    """q = e^(pi i tau): the real e^(-pi Im tau) on the imaginary axis, else complex."""
+    if mp.re(tau) == 0:
+        return mp.exp(-mp.pi * mp.im(tau))
+    return mp.exp(1j * mp.pi * tau)
+
+
+def _pow8(z):
+    """z^8 by three squarings."""
+    z *= z
+    z *= z
+    return z * z
+
+
 def j_invariant(tau, prec: int = 50):
     """Klein j(tau) = 32 (theta2^8 + theta3^8 + theta4^8)^3 / (theta2 theta3 theta4)^8.
 
-    With q = e^(pi i tau) and the sums of `_theta_sums`, theta2^8 = 256 q^2 s2^8.
-    On the imaginary axis q is real.
+    With q = e^(pi i tau) (`_nome`) and the sums of `_theta_sums`,
+    theta2^8 = 256 q^2 s2^8.  The eighth powers are three squarings each: for
+    a complex base, mpmath's integer power goes through a complex log and exp.
     """
     with working_precision(prec):
         t = mp.mpc(tau)
         if mp.im(t) <= 0:
             raise ValueError("j needs Im(tau) > 0")
-        q = mp.exp(-mp.pi * mp.im(t)) if mp.re(t) == 0 else mp.exp(1j * mp.pi * t)
+        q = _nome(t)
         s2, s3, s4 = _theta_sums(q, mp.mp.prec)
-        q2s8 = q * q * s2**8
-        return (256 * q2s8 + s3**8 + s4**8) ** 3 / (8 * q2s8 * (s3 * s4) ** 8)
+        p2, p3, p4 = (_pow8(s) for s in (s2, s3, s4))
+        q2p2 = q * q * p2
+        num = 256 * q2p2 + p3 + p4
+        return num * num * num / (8 * q2p2 * p3 * p4)
 
 
 def k_numeric(n, prec: int = 50):
@@ -219,20 +236,29 @@ def dirichlet_l_one(delta: int, prec: int = 50):
 
     delta < 0:  pi |delta|^(-3/2) * sum_a chi(a) (|delta| - 2a)/2
     delta > 0:  -(1/sqrt(delta)) * sum_a chi(a) ln sin(pi a / delta)
+
+    over 0 < a < |delta|.  The terms at a and |delta| - a are equal (chi is odd
+    for delta < 0 and even for delta > 0), so each sum runs over a < |delta|/2
+    and is doubled.  For delta > 0 the logs are one log of the ratio of two
+    products of sin(pi a/delta), over chi(a) = 1 and chi(a) = -1, taken with
+    log2(delta) guard bits for their roundings.
     """
     if not arith.is_fundamental_discriminant(delta) or delta == 1:
         raise ValueError(f"need a fundamental discriminant != 1, got {delta}")
+    q = abs(delta)
+    half = range(1, (q + 1) // 2)
     with working_precision(prec):
         if delta < 0:
-            q = -delta
-            S = sum(arith.kronecker(delta, a) * (q - 2 * a) for a in range(1, q))
+            S = sum(2 * arith.kronecker(delta, a) * (q - 2 * a) for a in half)
             return mp.pi * S / (2 * mp.power(q, mp.mpf(3) / 2))
-        total = mp.mpf(0)
-        for a in range(1, delta):
-            chi = arith.kronecker(delta, a)
-            if chi:
-                total += chi * mp.log(mp.sin(mp.pi * a / delta))
-        return -total / mp.sqrt(delta)
+        with mp.workprec(mp.mp.prec + q.bit_length()):
+            prods = {1: mp.mpf(1), -1: mp.mpf(1)}
+            for a in half:
+                chi = arith.kronecker(delta, a)
+                if chi:
+                    prods[chi] *= mp.sin(mp.pi * a / q)
+            ratio = prods[1] / prods[-1]
+        return -2 * mp.log(ratio) / mp.sqrt(delta)
 
 
 def verify_dirichlet(delta: int, prec: int = 40):
@@ -306,7 +332,7 @@ def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
             raise ValueError("epstein_zeta has a pole at s = 1; use epstein_constant_term")
         bits = mp.mp.prec
         c = mp.pi / mp.sqrt(m)
-        cutoff = (bits + 16) * mp.log(2) / c
+        cutoff = _cutoff(c, bits)
         total = c**s * (1 / (s - 1) - 1 / s)
         dual = c ** (2 * s - 1)
         cf = float(c)
@@ -369,17 +395,40 @@ def _exp_e1_walk(c, qs, W: int):
         yield ex, e1
 
 
+def _lattice_sum(m: int, counts: Counter, bits: int):
+    """sum count [e^(-cQ)/Q + c E1(cQ)] over {Q: count}, c = pi/sqrt(m), to 2^-bits.
+
+    A count may be negative, and a value whose count is 0 is dropped.  The
+    values are walked in increasing order in integer fixed point
+    (`_exp_e1_walk`): one mp.exp and one mp.e1 seed each run, and every other
+    value is one series step from the last.  The sum is kept as one integer
+    over 2^W, W = bits + _WALK_GUARD + log2 of the number of values, so the
+    roundings of all the steps stay below 2^-bits.
+    """
+    values = sorted((q, n) for q, n in counts.items() if n)
+    W = bits + _WALK_GUARD + len(values).bit_length()
+    with mp.workprec(W + 20):
+        c = mp.pi / mp.sqrt(m)
+    cfix = int(mp.ldexp(c, W))
+    total = 0
+    walk = _exp_e1_walk(c, (q for q, _ in values), W)
+    for (q, count), (ex, e1) in zip(values, walk):
+        total += count * (ex // q + (cfix * e1 >> W))
+    return mp.ldexp(total, -W)
+
+
+def _cutoff(c, bits: int):
+    """The Q beyond which a lattice term, of size about e^(-cQ), is below 2^-(bits + 16)."""
+    return (bits + 16) * mp.log(2) / c
+
+
 def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
     """Constant term of sum' Q(x,y)^(-s) at s = 1 (pole pi/(sqrt(m)(s-1)) removed).
 
-    c (euler + ln c - 1) + sum' [exp(-cQ)/Q + c E1(cQ)] with c = pi/sqrt(m),
-    summed once per represented value Q times its count, up to
-    cQ = (bits + 16) ln 2 at the working precision `bits`.  The values are
-    walked in increasing order in integer fixed point (`_exp_e1_walk`): one
-    mp.exp and one mp.e1 seed each run, and every other value is one series
-    step from the last.  The sum is kept as one integer over 2^W,
-    W = bits + _WALK_GUARD + log2 of the number of values, so the roundings of
-    all the steps stay below 2^-bits.
+    c (euler + ln c - 1) + sum' [exp(-cQ)/Q + c E1(cQ)] with c = pi/sqrt(m).
+    The sum runs once per represented value Q, times its count, up to
+    cQ = (bits + 16) ln 2 at the working precision `bits`, as one fixed-point
+    walk over the sorted values (`_lattice_sum`).
     """
     m = A * C - B * B
     if m <= 0 or A <= 0:
@@ -387,17 +436,8 @@ def epstein_constant_term(A: int, B: int, C: int, prec: int = 30):
     with working_precision(prec):
         bits = mp.mp.prec
         c = mp.pi / mp.sqrt(m)
-        cutoff = (bits + 16) * mp.log(2) / c
-        values = sorted(_lattice_values(A, B, C, cutoff).items())
-        W = bits + _WALK_GUARD + len(values).bit_length()
-        with mp.workprec(W + 20):
-            cw = mp.pi / mp.sqrt(m)
-        cfix = int(mp.ldexp(cw, W))
-        total = 0
-        walk = _exp_e1_walk(cw, (q for q, _ in values), W)
-        for (q, count), (ex, e1) in zip(values, walk):
-            total += count * (ex // q + (cfix * e1 >> W))
-        return c * (mp.euler + mp.log(c) - 1) + mp.ldexp(total, -W)
+        counts = _lattice_values(A, B, C, _cutoff(c, bits))
+        return c * (mp.euler + mp.log(c) - 1) + _lattice_sum(m, counts, bits)
 
 
 def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
@@ -406,8 +446,8 @@ def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
     2 pi euler/sqrt(m) + (pi/sqrt(m)) ln(A/(4m)) - (2 pi/sqrt(m)) ln |eta(w)|^2
     at w = (B + i sqrt(m))/A; the form's second root -conj(w) has the same
     |eta|.  The constant term is a class invariant, so the form is reduced
-    first (then Im w >= sqrt(3)/2), and with q = e^(pi i w) and the sums of
-    `_theta_sums`, theta2 theta3 theta4 = 2 eta^3 gives
+    first (then Im w >= sqrt(3)/2), and with q = e^(pi i w) (`_nome`, real
+    for B = 0) and the sums of `_theta_sums`, theta2 theta3 theta4 = 2 eta^3 gives
     ln |eta(w)|^2 = -pi Im(w)/6 + (2/3) ln |s2 s3 s4|.
     """
     with working_precision(prec):
@@ -415,7 +455,7 @@ def grenzformel_rhs(A: int, B: int, C: int, prec: int = 30):
         A, B, m = F.a, F.b // 2, F.discriminant // -4
         rm = mp.sqrt(m)
         w = (B + 1j * rm) / A
-        s2, s3, s4 = _theta_sums(mp.exp(1j * mp.pi * w), mp.mp.prec)
+        s2, s3, s4 = _theta_sums(_nome(w), mp.mp.prec)
         log_eta2 = -mp.pi * rm / (6 * A) + 2 * mp.log(abs(s2 * s3 * s4)) / 3
         return (
             2 * mp.pi * mp.euler / rm
@@ -431,12 +471,22 @@ def verify_grenzformel(A: int, B: int, C: int, prec: int = 30):
 
 
 def verify_formula_g(A: int, C: int, prec: int = 30):
-    """Residual of lim [S_(A,0,2C) - S_(2A,0,C)] = (4 pi / sqrt(m)) ln g_(m/A^2), m = 2AC."""
+    """Residual of lim [S_(A,0,2C) - S_(2A,0,C)] = (4 pi / sqrt(m)) ln g_(m/A^2), m = 2AC.
+
+    Both forms have determinant m, so their poles and their closed parts
+    c (euler + ln c - 1) cancel, and the limit is the lattice sum of
+    `epstein_constant_term` over the difference of their counts: one walk over
+    the values either form represents, each weighted by its count under the
+    first form minus its count under the second.  For m = 2 the forms are
+    equivalent and the sum is empty.
+    """
     m = 2 * A * C
     with working_precision(prec):
-        lhs = epstein_constant_term(A, 0, 2 * C, prec) - epstein_constant_term(
-            2 * A, 0, C, prec
-        )
+        bits = mp.mp.prec
+        cutoff = _cutoff(mp.pi / mp.sqrt(m), bits)
+        counts = _lattice_values(A, 0, 2 * C, cutoff)
+        counts.subtract(_lattice_values(2 * A, 0, C, cutoff))
+        lhs = _lattice_sum(m, counts, bits)
         g = gn_numeric(Fraction(m, A * A), prec)
         rhs = 4 * mp.pi / mp.sqrt(m) * mp.log(g)
         return lhs - rhs

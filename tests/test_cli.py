@@ -114,7 +114,7 @@ PASS  F(1-a)/F(a) = sqrt(210): residual -1.94469e-62 (tol 1.0e-40)
 PASS  L(1, chi_-3) class number formula: residual 0.0 (tol 1.0e-30)
 """,
     "verify formula-g --a 1 --c 105": """\
-PASS  Epstein pair difference = 4 pi/sqrt(m) ln g, A=1, C=105: residual 3.58732e-43 (tol 1.0e-20)
+PASS  Epstein pair difference = 4 pi/sqrt(m) ln g, A=1, C=105: residual 1.60629e-43 (tol 1.0e-20)
 """,
     "verify grenzformel --a 1 --c 210": """\
 PASS  Epstein constant term, form (1, 0, 210): residual 0.0 (tol 1.0e-20)
@@ -302,10 +302,10 @@ def test_jpoly_sizes_its_own_precision(capsys):
 
 
 def test_verify_pass_and_fail(capsys):
-    code, out, _ = run(capsys, ["verify", "formula-g", "--a", "1", "--c", "105"])
+    argv = ["verify", "formula-g", "--a", "1", "--c", "105"]
+    code, out, _ = run(capsys, argv)
     assert code == 0 and out.startswith("PASS")
-    # the residual of m = 2 is nonzero (about 8e-43), so a tolerance below it fails
-    argv = ["verify", "formula-g", "--a", "1", "--c", "1"]
+    # the residual of m = 210 is nonzero (about 2e-43), so a tolerance below it fails
     code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0 and float(json.loads(out)["residual"]) != 0
     code, out, _ = run(capsys, argv + ["--tol", "1e-60"])

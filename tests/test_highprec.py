@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singmod import highprec as hp
-from singmod import modulus, qforms, weber
+from singmod import arith, modulus, qforms, weber
 from singmod.surd import SurdElement
 
 A1_840 = -3494487845306481075093315600749304691200
@@ -491,6 +491,81 @@ def test_formula_g_residuals():
 
 def test_formula_g_trivial_m2():
     assert abs(hp.verify_formula_g(1, 1, 30)) < mp.mpf("1e-8")
+
+
+def _formula_g_lhs_against_two_constant_terms(monkeypatch, A, C, prec):
+    """|one-walk lhs - (S_(A,0,2C) - S_(2A,0,C)) at prec + 40| in units of 10^-(prec+GUARD).
+
+    With g_n patched to 1 the right side is exactly 0, so the residual is the
+    one-walk left side itself.
+    """
+    monkeypatch.setattr(hp, "gn_numeric", lambda *args: mp.mpf(1))
+    with mp.workdps(prec + 60):
+        exact = hp.epstein_constant_term(A, 0, 2 * C, prec + 40)
+        exact -= hp.epstein_constant_term(2 * A, 0, C, prec + 40)
+        return abs(hp.verify_formula_g(A, C, prec) - exact) * mp.mpf(10) ** (prec + hp.GUARD)
+
+
+# m = 2 is the empty walk: (1, 0, 2) and (2, 0, 1) represent each value equally often
+@pytest.mark.parametrize("prec", [30, 60])
+@pytest.mark.parametrize("A, C", [(1, 1), (1, 105), (3, 5), (1, 231)])
+def test_formula_g_walks_the_difference_of_two_constant_terms(monkeypatch, A, C, prec):
+    assert _formula_g_lhs_against_two_constant_terms(monkeypatch, A, C, prec) < 1
+    if A * C == 1:
+        assert hp.verify_formula_g(A, C, prec) == 0
+
+
+@st.composite
+def formula_g_pairs(draw):
+    A = draw(st.integers(min_value=1, max_value=50))
+    C = draw(st.integers(min_value=1, max_value=2500 // A))
+    return A, C
+
+
+@settings(max_examples=30, deadline=None)
+@given(formula_g_pairs(), st.integers(min_value=10, max_value=80))
+def test_formula_g_walk_keeps_its_guard_digits_for_any_pair(pair, prec):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _formula_g_lhs_against_two_constant_terms(monkeypatch, *pair, prec) < 1
+
+
+def _dirichlet_l_one_full_sum(delta, prec):
+    """L(1, chi_delta) by the character sums over every 0 < a < |delta|."""
+    with hp.working_precision(prec):
+        if delta < 0:
+            q = -delta
+            S = sum(arith.kronecker(delta, a) * (q - 2 * a) for a in range(1, q))
+            return mp.pi * S / (2 * mp.power(q, mp.mpf(3) / 2))
+        total = mp.mpf(0)
+        for a in range(1, delta):
+            chi = arith.kronecker(delta, a)
+            if chi:
+                total += chi * mp.log(mp.sin(mp.pi * a / delta))
+        return -total / mp.sqrt(delta)
+
+
+# the sums over a < |delta|/2 are the full sums: the same integer for
+# delta < 0, and within 10^-(prec+10) for delta > 0, where the logs of the
+# full sum become one log of a ratio of products
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_dirichlet_l_one_half_sums_equal_the_full_sums(sign):
+    prec = 20
+    for q in range(3, 2001):
+        delta = sign * q
+        if not arith.is_fundamental_discriminant(delta):
+            continue
+        full, half = _dirichlet_l_one_full_sum(delta, prec), hp.dirichlet_l_one(delta, prec)
+        if delta < 0:
+            assert half == full, delta
+        else:
+            assert abs(half - full) < mp.mpf(10) ** -(prec + 10), delta
+
+
+def test_nome_is_real_on_the_imaginary_axis():
+    # j and Kronecker's closed form share the rule; B = 0 forms take real theta sums
+    with mp.workdps(30):
+        assert isinstance(hp._nome(mp.mpc(0, 2)), mp.mpf)
+        assert isinstance(hp._nome(mp.mpc(mp.mpf(1) / 2, 2)), mp.mpc)
 
 
 def test_dirichlet_l_one_rejects_bad():
