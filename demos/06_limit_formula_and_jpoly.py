@@ -1,10 +1,10 @@
 """Independent numerical verification: Epstein zeta limits and the class polynomial.
 
-The Epstein zeta function of each form is continued past s = 1 with the
-incomplete-gamma representation.  Its constant term matches the eta closed
-form, pair differences match (4 pi / sqrt(m)) ln g, and the eight j-values of
-the reduced forms multiply into a degree-8 monic integer polynomial whose
-coefficients reach a hundred digits.
+The constant term at s = 1 of each form's Epstein zeta function, a lattice
+sum of e^(-cQ)/Q + c E1(cQ), matches the eta closed form, pair differences
+match (4 pi / sqrt(m)) ln g, and the eight j-values of the reduced forms
+multiply into a degree-8 monic integer polynomial whose coefficients reach a
+hundred digits.
 """
 
 import mpmath as mp

@@ -2,8 +2,8 @@
 
 The package reproduces the classical chain that evaluates the modulus k_n with
 K(k')/K(k) = sqrt(n) as an explicit product of quadratic units: reduced forms
-and class numbers, Dirichlet L-values, Epstein zeta constants, the product
-formula for g_{2n}, and the algebraic descent from g_n to k_n.
+and class numbers, Dirichlet L-values, the Kronecker limit formula at s = 1,
+the product formula for g_{2n}, and the algebraic descent from g_n to k_n.
 """
 
 from .arith import (

@@ -2,8 +2,9 @@
 
 Every command returns a `Record`, which `main` renders as text, tsv or json.
 Exit codes: 0 success, 1 verification residual not below its tolerance
-(10^(10 - prec) unless --tol is given), 2 usage, 3 internal failure (no exact
-square root and similar).
+(10^(10 - prec) unless --tol is given), 2 usage or domain (ValueError), 3
+internal failure (ArithmeticError: no exact square root, a q-series or rebuild
+check that disagrees, a class-polynomial rounding residual).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import highprec, modulus, qforms, weber
-from .surd import NotASquareError
 
 
 @dataclass
@@ -140,7 +140,7 @@ def cmd_tables(args) -> Record:
 
 # |D| above this is refused: the class polynomial has h ~ sqrt|D| factors of
 # about pi sqrt|D| sum 1/a digits each; the slowest D below the bound, -9239
-# (h = 139, 1325 digits), takes 6.7 s on one Xeon core under CPython 3.11
+# (h = 139, 1325 digits), takes about 2 s on one Xeon core under CPython 3.11
 JPOLY_MAX_DISC = 10**4
 
 
@@ -268,12 +268,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         record = args.func(args)
-    except NotASquareError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(err, ValueError) else 3
     if args.format == "json":
         print(_json_dump(record.payload))
     else:

@@ -1,4 +1,4 @@
-"""Arbitrary-precision numerics: AGM integrals, q-series, Epstein zeta values.
+"""Arbitrary-precision numerics: AGM integrals, q-series, Kronecker limit formulas.
 
 Every public operation takes a decimal-digit precision of at least 1 and
 evaluates with guard digits inside an mpmath working context
@@ -44,27 +44,6 @@ def ell_K(k, prec: int = 50):
         if not 0 <= k < 1:
             raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
         return mp.pi / (2 * mp.agm(1, mp.sqrt(1 - k * k)))
-
-
-def F_series(alpha, prec: int = 50):
-    """Hypergeometric series 1 + (1/2)^2 a + (1*3/(2*4))^2 a^2 + ...
-
-    Returns (partial_sum, tail_bound).  The sum equals (2/pi) K(sqrt(alpha)).
-    """
-    with working_precision(prec):
-        a = _to_mpf(alpha)
-        if not 0 <= a < 1:
-            raise ValueError(f"series needs 0 <= alpha < 1, got {a}")
-        eps = mp.mpf(10) ** (-(prec + GUARD // 2))
-        total = mp.mpf(1)
-        term = mp.mpf(1)
-        for k in range(1, 10**6 + 1):  # the stop for alpha near 1
-            term *= (mp.mpf(2 * k - 1) / (2 * k)) ** 2 * a
-            total += term
-            if term < eps * (1 - a):
-                break
-        bound = term * a / (1 - a)
-        return total, bound
 
 
 def verify_ratio_value(k, prec: int = 50):
@@ -279,7 +258,7 @@ def verify_dirichlet(delta: int, prec: int = 40):
         return finite, closed
 
 
-# -- Epstein zeta: analytic continuation and the constant term at s = 1 -----
+# -- Epstein zeta: the constant term at s = 1 and the limit formulas -------
 
 
 def _lattice_values(A: int, B: int, C: int, bound) -> Counter:
@@ -306,43 +285,10 @@ def _term_bits(x: float, bits: int) -> int:
 
     The term needs bits + 16 - floor(x / ln 2) bits.  The cap at `bits` keeps
     the leading terms at the sum's own precision (more would move the last
-    bits of the sum), and the floor of 24 keeps mpmath's E1 and incomplete
-    gamma accurate for the smallest terms.
+    bits of the sum), and the floor of 24 keeps mpmath's exp and E1 accurate
+    for the smallest terms.
     """
     return max(min(bits, bits + 16 - int(x / math.log(2))), 24)
-
-
-def epstein_zeta(A: int, B: int, C: int, s, prec: int = 30):
-    """Analytic continuation of sum' Q(x,y)^(-s) for the Gauss form (A, B, C).
-
-    Uses the symmetric incomplete-gamma representation split at the self-dual
-    point c = pi/sqrt(m); valid for real s != 1 (and s != 0).  The form and its
-    dual represent the same values equally often, so each represented value Q
-    is evaluated once and weighted by its count of lattice points.  Each term,
-    of size about e^(-x) at x = cQ, is evaluated at
-    max(min(bits, bits + 16 - floor(x / ln 2)), 24) bits (`_term_bits`); the
-    sum itself runs at the full working precision `bits`.
-    """
-    m = A * C - B * B
-    if m <= 0 or A <= 0:
-        raise ValueError("form must be positive definite")
-    with working_precision(prec):
-        s = _to_mpf(s)
-        if s == 1:
-            raise ValueError("epstein_zeta has a pole at s = 1; use epstein_constant_term")
-        bits = mp.mp.prec
-        c = mp.pi / mp.sqrt(m)
-        cutoff = _cutoff(c, bits)
-        total = c**s * (1 / (s - 1) - 1 / s)
-        dual = c ** (2 * s - 1)
-        cf = float(c)
-        for qv, count in sorted(_lattice_values(A, B, C, cutoff).items()):
-            with mp.workprec(_term_bits(cf * qv, bits)):
-                x = c * qv
-                term = mp.gammainc(s, a=x) * mp.power(qv, -s)
-                term += dual * mp.gammainc(1 - s, a=x) * mp.power(qv, s - 1)
-            total += count * term
-        return total / mp.gamma(s)
 
 
 def _exp_e1_walk(c, qs, W: int):
@@ -478,8 +424,10 @@ def verify_formula_g(A: int, C: int, prec: int = 30):
     `epstein_constant_term` over the difference of their counts: one walk over
     the values either form represents, each weighted by its count under the
     first form minus its count under the second.  For m = 2 the forms are
-    equivalent and the sum is empty.
+    equivalent and the sum is empty.  A, C < 1 raise ValueError.
     """
+    if A < 1 or C < 1:
+        raise ValueError(f"formula (g) needs A, C >= 1, got A={A}, C={C}")
     m = 2 * A * C
     with working_precision(prec):
         bits = mp.mp.prec

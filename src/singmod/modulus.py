@@ -47,7 +47,8 @@ from .surd import (
 def k_from_g_numeric(g, prec: int = 50):
     """k = 1/(G + sqrt(G^2 + 1)), G = g^12: the root of 1/k - k = 2 G in (0, 1).
 
-    Every term is positive, so no digit cancels however large G is.
+    Every term is positive, so no digit cancels however large G is.  No answer
+    calls it; it stays while the benchmark tracer wraps it by name.
     """
     with highprec.working_precision(prec):
         g = mp.mpf(g)
@@ -165,27 +166,6 @@ def quartet_roots(s1: SurdElement, s2: SurdElement, ambient_primes=None):
     witness = DescentWitness(s1, s2, alpha, beta, a, b, c, d)
     factors = UnitProduct([(f1, 1), (f2, 1), (f3, 1), (f4, 1)])
     return x1, x2, factors, witness
-
-
-def alpha_from_unit_pair(u: SurdElement, v: SurdElement, ambient_primes=None) -> tuple[SurdElement, UnitProduct]:
-    """alpha from uv = g^6 via 2U = u^2 + u^-2, 2V = v^2 + v^-2.
-
-    W = sqrt(U^2 + V^2 - 1), 2S = U + V + W + 1, and alpha is the product of
-    (sqrt(S - X) - sqrt(S - X - 1))^2 over X in {0, U, V, W}.  All roots exact.
-    """
-    U = (u * u + (u * u).inverse()) / 2
-    V = (v * v + (v * v).inverse()) / 2
-    W = exact_sqrt(U * U + V * V - 1, ambient_primes=ambient_primes)
-    S = (U + V + W + 1) / 2
-    pieces = []
-    for X in (SurdElement(0), U, V, W):
-        hi = exact_sqrt(S - X, ambient_primes=ambient_primes)
-        lo = exact_sqrt(S - X - 1, ambient_primes=ambient_primes)
-        pieces.append(hi - lo)
-    alpha = SurdElement(1)
-    for f in pieces:
-        alpha = alpha * (f * f)
-    return alpha, UnitProduct([(f, 2) for f in pieces])
 
 
 # -- reduction of difference factors to fundamental units -------------------

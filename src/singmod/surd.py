@@ -495,9 +495,6 @@ class UnitProduct:
             out = out * b ** int(e)
         return out
 
-    def all_unit_norms(self) -> bool:
-        return all(abs(field_norm(b)) == 1 for b, _ in self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

@@ -15,6 +15,8 @@ from singmod import arith, cli, highprec, modulus, pell, qforms, weber
 from singmod.qforms import GLMatrix, QuadForm
 from singmod.surd import SurdElement, UnitProduct, exact_sqrt, field_norm, parse_surd
 
+from conftest import all_unit_norms, alpha_from_unit_pair
+
 GOLDEN_FORMS_840 = [
     (1, 0, 210),
     (2, 0, 105),
@@ -160,14 +162,14 @@ def test_criterion_08_descent_intermediates(capsys, k210):
     assert w.d == parse_surd("247 + 24*sqrt(105)")
     # cross-method agreement, both descents exact
     u30, v30 = parse_surd("3 + sqrt(10)"), parse_surd("2 + sqrt(5)")
-    alpha30, _ = modulus.alpha_from_unit_pair(u30, v30, ambient_primes=(2, 3, 5))
+    alpha30, _ = alpha_from_unit_pair(u30, v30, ambient_primes=(2, 3, 5))
     k30 = modulus.singular_modulus(30, 50)
     assert alpha30 == k30.k_surd * k30.k_surd
     S = w.a + 1
     U, V = S - w.c, S - w.b
     u = exact_sqrt(U + exact_sqrt(U * U - 1, ambient_primes=(2, 3, 5, 7)), ambient_primes=(2, 3, 5, 7))
     v = exact_sqrt(V + exact_sqrt(V * V - 1, ambient_primes=(2, 3, 5, 7)), ambient_primes=(2, 3, 5, 7))
-    alpha210, _ = modulus.alpha_from_unit_pair(u, v, ambient_primes=(2, 3, 5, 7))
+    alpha210, _ = alpha_from_unit_pair(u, v, ambient_primes=(2, 3, 5, 7))
     assert alpha210 == k210.k_surd * k210.k_surd
     with mp.workdps(60):
         assert abs(alpha210.evalf() - k210.alpha_numeric) < mp.mpf("1e-30")
@@ -234,7 +236,7 @@ def test_criterion_13_property_suites(capsys, k210, k30):
     # unit-norm checks on every emitted factor
     g210_product, _ = weber.g2n(105, 60)
     for prod in (g210_product, k210.k_product, k30.k_product):
-        assert prod.all_unit_norms()
+        assert all_unit_norms(prod)
     assert abs(field_norm(k210.k_surd, primes=(2, 3, 5, 7))) == 1
     # exact root round trip
     g12 = (k210.g_product**12).expand_exact()

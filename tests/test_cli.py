@@ -1,9 +1,13 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singmod import cli, qforms
 from singmod.surd import NotASquareError
@@ -371,6 +375,56 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.modulus, "singular_modulus", boom)
     code, _, err = run(capsys, ["kn", "--n", "30"])
     assert code == 3 and "stub" in err
+
+
+def test_failed_internal_check_exits_3(monkeypatch, capsys):
+    # g2n checks its unit product against the q-series; a wrong series is an
+    # internal failure, not a usage error
+    monkeypatch.setattr(cli.weber.highprec, "gn_numeric", lambda *args: mp.mpf(2))
+    code, _, err = run(capsys, ["g2n", "--n", "105"])
+    assert code == 3 and "disagrees with its q-series" in err
+
+
+def _assert_usage_error(code, err):
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error: ") and err[len("error: "):].strip()
+
+
+# these once printed an empty "error: ", ended in a traceback with exit 1, or
+# printed isqrt's message
+@pytest.mark.parametrize("a, c", [("0", "1"), ("1", "0"), ("-1", "1"), ("2", "-3"), ("-1", "-1")])
+def test_formula_g_rejects_a_or_c_below_one(capsys, a, c):
+    code, _, err = run(capsys, ["verify", "formula-g", "--a", a, "--c", c])
+    _assert_usage_error(code, err)
+    assert f"A={a}, C={c}" in err
+
+
+# about 0.4 s for 100 examples
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["formula-g", "grenzformel"]),
+    st.integers(-3, 60),
+    st.integers(-3, 60),
+    st.integers(-3, 60),
+    st.integers(1, 40),
+    st.sampled_from(["text", "json"]),
+)
+def test_verify_domain_exits_0_or_2(check, a, b, c, prec, fmt):
+    argv = ["verify", check, "--a", str(a), "--c", str(c), "--prec", str(prec), "--format", fmt]
+    if check == "grenzformel":
+        argv += ["--b", str(b)]
+        valid = a > 0 and a * c - b * b > 0
+    else:
+        valid = a >= 1 and c >= 1
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if not valid:
+        _assert_usage_error(code, err.getvalue())
+    else:
+        assert code == 0, (out.getvalue(), err.getvalue())
+        if fmt == "json":
+            assert json.loads(out.getvalue())["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from singmod import arith, highprec, modulus, pell, qforms, weber
 from singmod.surd import NotASquareError, SurdElement, UnitProduct, exact_sqrt, field_norm, parse_surd
 
+from conftest import all_unit_norms, alpha_from_unit_pair
+
 K210_FACTORS = {
     "4 - sqrt(15)": 2,
     "8 - 3*sqrt(7)": 1,
@@ -131,7 +133,7 @@ def test_witness_verifies_for_every_convenient_n():
         sm = modulus.singular_modulus(n, 50)
         assert sm.simplified, n
         assert sm.k_product.expand_exact() == sm.k_surd, n
-        assert sm.k_product.all_unit_norms(), n
+        assert all_unit_norms(sm.k_product), n
         w = sm.witness
         assert w.verify(), n
         assert not dataclasses.replace(w, a=w.a + 1).verify(), n
@@ -339,7 +341,7 @@ def test_quartet_root_defining_equation(k210):
 
 def test_alpha_from_unit_pair_30():
     u, v = parse_surd("3 + sqrt(10)"), parse_surd("2 + sqrt(5)")
-    alpha, product = modulus.alpha_from_unit_pair(u, v, ambient_primes=(2, 3, 5))
+    alpha, product = alpha_from_unit_pair(u, v, ambient_primes=(2, 3, 5))
     k30 = (
         parse_surd("5 - 2*sqrt(6)")
         * parse_surd("4 - sqrt(15)")
@@ -347,11 +349,11 @@ def test_alpha_from_unit_pair_30():
         * parse_surd("2 - sqrt(3)")
     )
     assert alpha == k30 * k30
-    assert product.all_unit_norms()
+    assert all_unit_norms(product)
 
 
 def test_alpha_from_unit_pair_degenerate():
-    alpha, product = modulus.alpha_from_unit_pair(SurdElement(1), SurdElement(1), ambient_primes=(2,))
+    alpha, product = alpha_from_unit_pair(SurdElement(1), SurdElement(1), ambient_primes=(2,))
     assert alpha == parse_surd("3 - 2*sqrt(2)")
     root = parse_surd("sqrt(2) - 1")
     assert alpha == root * root
@@ -367,7 +369,7 @@ def test_alpha_from_unit_pair_210_cross_method(k210):
     v = exact_sqrt(vv, ambient_primes=(2, 3, 5, 7))
     g6 = exact_sqrt((k210.g_product**12).expand_exact(), ambient_primes=(2, 3, 5, 7))
     assert u * v == g6
-    alpha, _ = modulus.alpha_from_unit_pair(u, v, ambient_primes=(2, 3, 5, 7))
+    alpha, _ = alpha_from_unit_pair(u, v, ambient_primes=(2, 3, 5, 7))
     assert alpha == k210.k_surd * k210.k_surd
 
 
@@ -461,7 +463,7 @@ def test_factor_into_units_rebuilds_products_of_subfield_units(powers):
     out = modulus.factor_into_units(UnitProduct([(x, 1)]))
     assert all(e.denominator == 1 for _, e in out.factors)
     assert out.expand_exact() == x
-    assert out.all_unit_norms()
+    assert all_unit_norms(out)
 
 
 def test_small_modulus_closed_forms():
@@ -518,7 +520,7 @@ def test_singular_modulus_k210(k210):
 
 def test_every_emitted_factor_is_a_unit(k210, k30):
     for sm in (k210, k30):
-        assert sm.k_product.all_unit_norms()
+        assert all_unit_norms(sm.k_product)
         assert abs(field_norm(sm.k_surd, primes=(2, 3, 5, 7))) == 1
 
 
@@ -529,7 +531,7 @@ def test_singular_modulus_generic_convenient_numbers():
         sm = modulus.singular_modulus(n, 50)
         g12 = (sm.g_product**12).expand_exact()
         assert sm.k_surd.inverse() - sm.k_surd == 2 * g12
-        assert sm.k_product.all_unit_norms()
+        assert all_unit_norms(sm.k_product)
         assert abs(sm.ratio_residual) < mp.mpf("1e-30")
         assert 0 < sm.k_numeric < 1
         assert sm.k_surd == sm.k_product.expand_exact()

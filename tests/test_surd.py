@@ -21,6 +21,8 @@ from singmod.surd import (
     walsh_hadamard,
 )
 
+from conftest import all_unit_norms
+
 # expressions appearing along the k_210 / k_30 computations
 CORPUS = [
     "171 + 54*sqrt(10) + 76*sqrt(5) + 120*sqrt(2)",
@@ -341,7 +343,7 @@ def test_unit_product_basics():
     base = parse_surd("4 - sqrt(15)")
     other = parse_surd("8 - 3*sqrt(7)")
     prod = UnitProduct([(base, 2), (other, 1)])
-    assert prod.all_unit_norms()
+    assert all_unit_norms(prod)
     assert (prod**2).expand_exact() == (base**4) * (other**2)
     merged = prod * UnitProduct([(base, -2)])
     assert merged.factors == [(other, Fraction(1))]

@@ -7,6 +7,8 @@ import pytest
 from singmod import arith, highprec, pell, qforms, weber
 from singmod.surd import SurdElement, parse_surd
 
+from conftest import all_unit_norms
+
 # the 8x8 symbol table for m = 210: rows by form (A + C labels), columns by
 # delta in (1, -3, 5, -7, -15, 21, -35, 105)
 JACOBI_TABLE_210 = {
@@ -198,7 +200,7 @@ G210_FACTORS = {
 def test_g210_exact_product(g210):
     product, value = g210
     assert {str(base): exp for base, exp in product.factors} == G210_FACTORS
-    assert product.all_unit_norms()
+    assert all_unit_norms(product)
 
 
 def test_g210_matches_closed_form(g210):
