@@ -46,15 +46,10 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -280,25 +280,12 @@ def _lattice_values(A: int, B: int, C: int, bound) -> Counter:
     return counts
 
 
-def _term_bits(x: float, bits: int) -> int:
-    """Working bits for a lattice term of size about e^(-x) in a sum kept to `bits`.
-
-    The term needs bits + 16 - floor(x / ln 2) bits.  The cap at `bits` keeps
-    the leading terms at the sum's own precision (more would move the last
-    bits of the sum), and the floor of 24 keeps mpmath's exp and E1 accurate
-    for the smallest terms.
-    """
-    return max(min(bits, bits + 16 - int(x / math.log(2))), 24)
-
-
 def _exp_e1_walk(c, qs, W: int):
     """Yield (e^(-x), E1(x)) at x = cQ for the increasing Q > 0 of qs, as integers over 2^W.
 
     c must carry W + 20 bits.  A run is seeded by one mp.exp and one mp.e1 at
-    the first Q and wherever the gap dQ from the last Q exceeds Q/2; a seed is
-    evaluated at `_term_bits(x, W)` bits, an absolute error of about
-    2^-(W + 16).  Every other Q is one step x -> x + h, with h = c dQ and
-    r = h/x = dQ/Q <= 1/2:
+    W bits, at the first Q and wherever the gap dQ from the last Q exceeds Q/2.
+    Every other Q is one step x -> x + h, with h = c dQ and r = h/x = dQ/Q <= 1/2:
 
         E1(x + h) = E1(x) - e^(-x) sum_k (-1)^k p_k/(k + 1),
         p_0 = r,  p_k = r (h^k/k! + p_(k-1)),
@@ -311,12 +298,11 @@ def _exp_e1_walk(c, qs, W: int):
     cancel, so a value's error grows by a few units a step.
     """
     c_hi = int(mp.ldexp(c, W + 20))
-    cf = float(c)
     prev = 0
     for q in qs:
         dq = q - prev
         if 2 * dq > prev:
-            with mp.workprec(_term_bits(cf * q, W)):
+            with mp.workprec(W):
                 x = c * q
                 ex = int(mp.ldexp(mp.exp(-x), W))
                 e1 = int(mp.ldexp(mp.e1(x), W))

@@ -75,14 +75,6 @@ class GLMatrix:
             self.t * other.s + self.u * other.u,
         )
 
-    def inverse(self) -> "GLMatrix":
-        d = self.det
-        if d == 1:
-            return GLMatrix(self.u, -self.s, -self.t, self.r)
-        if d == -1:
-            return GLMatrix(-self.u, self.s, self.t, -self.r)
-        raise ValueError("matrix is not unimodular")
-
 
 IDENTITY = GLMatrix(1, 0, 0, 1)
 

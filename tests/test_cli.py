@@ -231,6 +231,15 @@ def test_jpoly_beyond_the_bound_exits_2_at_once(capsys, disc):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("delta", ["100001", "-100003"])
+def test_dirichlet_beyond_the_bound_exits_2_at_once(capsys, delta):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["verify", "dirichlet", "--delta", delta])
+    assert code == 2 and err.startswith("error: ") and "at most 10^5" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["forms"])

@@ -42,7 +42,8 @@ def test_apply_identity_and_inverse():
     assert qforms.apply(GLMatrix(1, 0, 0, 1), F) == F
     for _ in range(50):
         g = random_unimodular(rng)
-        assert qforms.apply(g.inverse(), qforms.apply(g, F)) == F
+        assert g.det == 1
+        assert qforms.apply(GLMatrix(g.u, -g.s, -g.t, g.r), qforms.apply(g, F)) == F
 
 
 def test_apply_preserves_discriminant():
